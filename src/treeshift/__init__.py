@@ -49,10 +49,12 @@ from .presets import (
     unary_path,
 )
 from .spaces import (
+    DualExponent,
     SpaceSpec,
     SparseVector,
     basis,
     dump_vector,
+    fiber_mass,
     load_vector,
     norm,
     norm_powered,

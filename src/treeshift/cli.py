@@ -20,13 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import criteria as crit
-from .errors import (
-    InvalidAddressError,
-    RootedTreeError,
-    TreeShiftError,
-    TreeSpecError,
-    UnknownPresetError,
-)
+from .errors import TreeShiftError, TreeSpecError, UnknownPresetError
 from .families import (
     FamilySpec,
     cofinite_family,
@@ -43,14 +37,8 @@ from .presets import (
 )
 from .shifts import BallSpec, apply_B_pow, operator_norm, orbit, return_set_report
 from .spaces import SpaceSpec, basis, load_vector, norm, to_float
-from .trees import (
-    ANCHOR,
-    EdgeData,
-    TreeModel,
-    Truncation,
-    validate,
-)
-from .treespec import load_tree_spec
+from .trees import ANCHOR, TreeModel, Truncation, validate
+from .treespec import TreeSpecDocument, load_tree_spec, resolve_model
 
 
 def _fmt(x) -> str:
@@ -106,31 +94,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_source(config: RunConfig):
-    """(TreeModel-or-EdgeData, Truncation) from --tree or --preset."""
+def _load_document(config: RunConfig) -> TreeSpecDocument:
+    """The --tree document or a --preset, with the truncation overrides."""
     if config.tree_path:
         doc = load_tree_spec(config.tree_path)
-        source, trunc = doc.source, doc.truncation
     elif config.preset:
         params = {}
         if config.preset in ("example_4_1", "example_7_2"):
             params["exact"] = config.exact
-        source = make_preset(config.preset, **params)
-        trunc = Truncation()
+        doc = TreeSpecDocument(make_preset(config.preset, **params), Truncation(), config.preset)
     else:
         raise TreeSpecError("give either --tree <path> or --preset <name>")
+    trunc = doc.truncation
     depth = trunc.depth if config.depth is None else config.depth
     ancestry = trunc.ancestry if config.ancestry is None else config.ancestry
-    return source, Truncation(depth, ancestry)
+    doc.truncation = Truncation(depth, ancestry)
+    return doc
 
 
 def _load_model(config: RunConfig) -> tuple[TreeModel, Truncation]:
-    source, trunc = _load_source(config)
-    if isinstance(source, EdgeData):
-        from .trees import tree_from_edge_data
-
-        return tree_from_edge_data(source), trunc
-    return source, trunc
+    doc = _load_document(config)
+    return resolve_model(doc), doc.truncation
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -190,8 +174,8 @@ def _load_ball(path: Optional[str], radius: float, space: SpaceSpec) -> BallSpec
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    source, trunc = _load_source(config)
-    report = validate(source, trunc)
+    doc = _load_document(config)
+    report = validate(doc.source, doc.truncation)
     lines = [f"validated {report.checked} vertices: {'OK' if report.ok else 'INVALID'}"]
     for v in report.violations:
         lines.append(f"  {v.code} at {v.where}: {v.detail}")
@@ -407,10 +391,7 @@ def run(config: RunConfig) -> int:
     """Execute the configured pipeline; exceptions map to exit codes 2/3."""
     try:
         return _COMMANDS[config.command](config)
-    except (TreeSpecError, UnknownPresetError, InvalidAddressError, RootedTreeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TreeShiftError as exc:
+    except (TreeShiftError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -1,139 +1,99 @@
 """Weight-based dynamical criteria evaluated at a finite horizon.
 
 Everything here reduces to two per-vertex quantities: the fiber quantity
-q(v, n) built from the weights of Chi^n(v), and (on unrooted trees) the
-spine-augmented quantity j(v, n) that adds the n-fold parent's weight.  The
-transitivity/recurrence criteria ask the time sets where these exceed every
-threshold N to belong to a Furstenberg family; divergence "to infinity" is
-always evidenced by exceeding a ladder capped at 2^12 within the horizon, and
-every verdict is horizon-stamped rather than asserted as a true limit.
+q(v, n), the p*-th root of the reciprocal weight mass of Chi^n(v)
+(`spaces.fiber_mass` combined by `spaces.DualExponent`), and (on unrooted
+trees) the spine-augmented quantity j(v, n) that adds the n-fold parent's
+reciprocal weight to that mass.  The transitivity/recurrence criteria ask the
+time sets where these exceed every threshold N to belong to a Furstenberg
+family; divergence "to infinity" is always evidenced by exceeding a ladder
+capped at 2^12 within the horizon, and every verdict is horizon-stamped rather
+than asserted as a true limit.
+
+Public functions check the vertices they are given; the reports evaluate
+their already checked samples through the unchecked helpers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import RootedTreeError
 from .families import FamilySpec, Verdict, family_verdict, infinite_family
-from .spaces import SpaceSpec, powed, safe_div, to_float
+from .spaces import SpaceSpec, fiber_mass, to_float
 from .trees import (
     ANCHOR,
     TreeModel,
     Truncation,
     VertexAddress,
-    chi_n,
+    _p_n,
     enumerate_truncation,
     format_address,
-    p_n,
 )
 
 LADDER_MAX = 2 ** 12
 DEFAULT_LADDER = tuple(2 ** k for k in range(13))
 
 
-@lru_cache(maxsize=1 << 16)
-def _q_powered(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec):
-    """Space-appropriate mass of the fiber Chi^n(v):
-    sum 1/|mu_u|^p* (l^p, p>1), sup 1/|mu_u| (l^1), sum 1/|mu_u| (c0);
-    0 for an empty fiber."""
-    profile = tree.fiber_profile(v, n) if tree.fiber_profile else None
-    if profile is not None:
-        if not profile:
-            return 0
-        if spec.kind == "lp" and spec.p == 1:
-            return max(safe_div(1, abs(w)) for w, _ in profile)
-        if spec.kind == "lp":
-            q = spec.conjugate
-            return sum(safe_div(count, powed(w, q)) for w, count in profile)
-        return sum(safe_div(count, abs(w)) for w, count in profile)
-    best = 0
-    total = 0
-    seen = False
-    sup_mode = spec.kind == "lp" and spec.p == 1
-    q = spec.conjugate if spec.kind == "lp" else None
-    for u in chi_n(v, n, tree):
-        seen = True
-        w = tree.weight(u)
-        if sup_mode:
-            cand = safe_div(1, abs(w))
-            if cand > best:
-                best = cand
-        elif spec.kind == "lp":
-            total += safe_div(1, powed(w, q))
-        else:
-            total += safe_div(1, abs(w))
-    if not seen:
-        return 0
-    return best if sup_mode else total
+def _checked(vertices: Iterable, tree: TreeModel) -> list[VertexAddress]:
+    """The given vertices as VertexAddresses, each checked against the tree."""
+    verts = [VertexAddress(v[0], tuple(v[1])) for v in vertices]
+    for v in verts:
+        tree.check(v)
+    return verts
+
+
+def _q_mass(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec):
+    """q(v, n) in the scale of thresholds (before the p*-th root): the
+    ``combined`` terms of ``fiber_mass``, 0 for an empty fiber."""
+    return fiber_mass(tree, v, n, spec)[1]
+
+
+def _j_mass(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec, lam=1):
+    """j(v, n) in the scale of thresholds; the spine weight is scaled by lam
+    (used by the scalar-scaled supercyclicity displays; lam = 1 recovers j)."""
+    dual = spec.dual
+    s = _p_n(v, n, tree)
+    spine = 1 / dual.power(tree.weight(s) * lam)
+    return dual.combine((spine, _q_mass(s, n, tree, spec)))
+
+
+def _q(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
+    """``q_value`` of an already checked vertex."""
+    return to_float(spec.dual.root(_q_mass(v, n, tree, spec)))
+
+
+def _j(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
+    """``j_value`` of an already checked vertex."""
+    return to_float(spec.dual.root(_j_mass(v, n, tree, spec)))
 
 
 def q_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
-    """The fiber quantity compared against N in the transitivity criteria."""
-    tree.check(v)
-    mass = _q_powered(VertexAddress(v[0], tuple(v[1])), n, tree, spec)
-    if spec.kind == "lp" and spec.p != 1:
-        m = to_float(mass)
-        return m ** (1.0 / float(spec.conjugate)) if m not in (0.0, math.inf) else m
-    return to_float(mass)
-
-
-def _threshold(N, spec: SpaceSpec):
-    """N raised to p* so comparisons can stay in the powered scale."""
-    if spec.kind == "lp" and spec.p != 1:
-        return powed(N, spec.conjugate)
-    return N
-
-
-def _q_exceeds(v, n, N_pow, tree, spec) -> bool:
-    return _q_powered(v, n, tree, spec) > N_pow
-
-
-def _spine_term(v, n, tree, spec, scale=1):
-    """1/|scale * mu_{p^n(v)}| in the powered scale of the space."""
-    s = p_n(v, n, tree)
-    ws = tree.weight(s) * scale
-    if spec.kind == "lp" and spec.p != 1:
-        return 1 / powed(ws, spec.conjugate)
-    return 1 / abs(ws)
-
-
-def _j_powered(v, n, tree, spec, lam=1):
-    """Spine-augmented quantity; the spine weight is scaled by lam (used by
-    the scalar-scaled supercyclicity displays; lam = 1 recovers j)."""
-    s = p_n(v, n, tree)
-    fiber = _q_powered(s, n, tree, spec)
-    spine = _spine_term(v, n, tree, spec, scale=lam)
-    if spec.kind == "lp" and spec.p == 1:
-        return spine if spine > fiber else fiber
-    return spine + fiber
+    """The fiber quantity compared against N in the transitivity criteria:
+    the p*-th root of the p*-mass of 1/|mu_u| over u in Chi^n(v)."""
+    (v,) = _checked([v], tree)
+    return _q(v, n, tree, spec)
 
 
 def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
-    """Spine quantity on the same "compare with N" scale as q_value: the p*-th
-    root for l^p (p > 1), the reciprocal of the weight minimum for l^1."""
+    """Spine quantity on the same "compare with N" scale as q_value, with
+    1/|mu_{p^n(v)}| added to the fiber's p*-mass (the max of the two for
+    l^1)."""
     if tree.rooted:
         raise RootedTreeError("j_value needs the n-fold parent of every vertex")
-    tree.check(v)
-    mass = _j_powered(VertexAddress(v[0], tuple(v[1])), n, tree, spec)
-    if spec.kind == "lp" and spec.p != 1:
-        m = to_float(mass)
-        return m ** (1.0 / float(spec.conjugate)) if m not in (0.0, math.inf) else m
-    return to_float(mass)
+    (v,) = _checked([v], tree)
+    return _j(v, n, tree, spec)
 
 
 def I_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with q(v, n) > N for every v in the finite set F."""
-    verts = [VertexAddress(v[0], tuple(v[1])) for v in F]
-    for v in verts:
-        tree.check(v)
-    N_pow = _threshold(N, spec)
+    verts = _checked(F, tree)
+    N_pow = spec.dual.threshold(N)
     return {
         n
         for n in range(horizon + 1)
-        if all(_q_exceeds(v, n, N_pow, tree, spec) for v in verts)
+        if all(_q_mass(v, n, tree, spec) > N_pow for v in verts)
     }
 
 
@@ -141,14 +101,12 @@ def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with j(v, n) > N for every v in F (unrooted only)."""
     if tree.rooted:
         raise RootedTreeError("J_set is defined on unrooted trees")
-    verts = [VertexAddress(v[0], tuple(v[1])) for v in F]
-    for v in verts:
-        tree.check(v)
-    N_pow = _threshold(N, spec)
+    verts = _checked(F, tree)
+    N_pow = spec.dual.threshold(N)
     return {
         n
         for n in range(horizon + 1)
-        if all(_j_powered(v, n, tree, spec) > N_pow for v in verts)
+        if all(_j_mass(v, n, tree, spec) > N_pow for v in verts)
     }
 
 
@@ -168,6 +126,14 @@ def default_sample_sets(
     for F in extra:
         sets.append(frozenset(VertexAddress(v[0], tuple(v[1])) for v in F))
     return sets
+
+
+def _sample_vertices(sample: Optional[Iterable], tree: TreeModel) -> list[VertexAddress]:
+    """A report's sample: the given vertices, checked, or else the vertices
+    of the default sample sets."""
+    if sample is None:
+        return sorted({v for F in default_sample_sets(tree) for v in F})
+    return sorted(_checked(sample, tree))
 
 
 def _record_sequence(vals: Sequence[float]) -> list[int]:
@@ -245,8 +211,8 @@ class DynamicsReport:
         unrooted = not self.tree.rooted
         for v in self.csv_vertices:
             for n in range(self.horizon + 1):
-                q = q_value(v, n, self.tree, self.spec)
-                j = j_value(v, n, self.tree, self.spec) if unrooted else ""
+                q = _q(v, n, self.tree, self.spec)
+                j = _j(v, n, self.tree, self.spec) if unrooted else ""
                 rows.append((format_address(v), n, q, j))
         return rows
 
@@ -271,9 +237,7 @@ def dynamics_report(
     if sample is None:
         sample_sets = default_sample_sets(tree, sample_depth)
     else:
-        sample_sets = [
-            frozenset(VertexAddress(v[0], tuple(v[1])) for v in F) for F in sample
-        ]
+        sample_sets = [frozenset(_checked(F, tree)) for F in sample]
     unrooted = not tree.rooted
 
     entries = []
@@ -287,11 +251,11 @@ def dynamics_report(
             verdict = family_verdict(times, fam, horizon)
             rungs.append(RungResult(N, tuple(sorted(times)), verdict))
         q_sup = max(
-            min(q_value(v, n, tree, spec) for v in verts) for n in range(horizon + 1)
+            min(_q(v, n, tree, spec) for v in verts) for n in range(horizon + 1)
         )
         j_sup = (
             max(
-                min(j_value(v, n, tree, spec) for v in verts)
+                min(_j(v, n, tree, spec) for v in verts)
                 for n in range(horizon + 1)
             )
             if unrooted
@@ -305,7 +269,7 @@ def dynamics_report(
     witness_vertex = None
     witness_sequence: list[int] = []
     for v in singles:
-        vals = [q_value(v, n, tree, spec) for n in range(horizon + 1)]
+        vals = [_q(v, n, tree, spec) for n in range(horizon + 1)]
         records = _record_sequence(vals)
         if records and vals[records[-1]] > LADDER_MAX:
             witness_vertex = v
@@ -357,18 +321,16 @@ def gamma_powers(ratio) -> GammaSpec:
 
 
 def _gamma_fiber_exceeds(v, n, lam, R, tree, spec) -> bool:
-    """Scaled fiber display: sum |lam|^p*/|mu|^p* (l^p), sup |lam|/|mu| (l^1),
-    sum |lam|/|mu| (c0), compared with R."""
-    mass = _q_powered(v, n, tree, spec)
-    if spec.kind == "lp" and spec.p != 1:
-        return powed(lam, spec.conjugate) * mass > _threshold(R, spec)
-    return abs(lam) * mass > R
+    """Scaled fiber display: the p*-mass of |lam|/|mu_u| over Chi^n(v),
+    compared with R."""
+    dual = spec.dual
+    return dual.power(lam) * _q_mass(v, n, tree, spec) > dual.threshold(R)
 
 
 def _gamma_spine_exceeds(v, n, lam, R, tree, spec) -> bool:
     """Scaled spine display: the j quantity with the spine weight multiplied
     by lam, compared with R."""
-    return _j_powered(v, n, tree, spec, lam=lam) > _threshold(R, spec)
+    return _j_mass(v, n, tree, spec, lam=lam) > spec.dual.threshold(R)
 
 
 @dataclass
@@ -422,12 +384,7 @@ def supercyclicity_report(
     for a backward shift means the tree has no leaves (the generalized kernel
     is automatically dense on rooted trees).
     """
-    if sample is None:
-        sample_verts = sorted(
-            {v for F in default_sample_sets(tree) for v in F}
-        )
-    else:
-        sample_verts = sorted(VertexAddress(v[0], tuple(v[1])) for v in sample)
+    sample_verts = _sample_vertices(sample, tree)
 
     if tree.rooted:
         if gamma.bounded:
@@ -559,7 +516,7 @@ class LimitPointReport:
         for v in self.sample:
             for n in range(self.horizon + 1):
                 rows.append(
-                    (format_address(v), n, q_value(v, n, self.tree, self.spec))
+                    (format_address(v), n, _q(v, n, self.tree, self.spec))
                 )
         return rows
 
@@ -581,16 +538,13 @@ def limit_point_report(
     the criterion for a *non-negative* vector's orbit to have a nonzero limit
     point, and its failure is reported with the observed limiting value.
     """
-    if sample is None:
-        sample_verts = sorted({v for F in default_sample_sets(tree) for v in F})
-    else:
-        sample_verts = sorted(VertexAddress(v[0], tuple(v[1])) for v in sample)
+    sample_verts = _sample_vertices(sample, tree)
 
     found = None
     found_records: list[int] = []
     found_values: list[float] = []
     for v in sample_verts:
-        vals = [q_value(v, n, tree, spec) for n in range(horizon + 1)]
+        vals = [_q(v, n, tree, spec) for n in range(horizon + 1)]
         records = _record_sequence(vals)
         if records and vals[records[-1]] > LADDER_MAX:
             found = v
@@ -599,7 +553,7 @@ def limit_point_report(
             break
 
     if tree.rooted:
-        root_vals = [q_value(ANCHOR, n, tree, spec) for n in range(horizon + 1)]
+        root_vals = [_q(ANCHOR, n, tree, spec) for n in range(horizon + 1)]
         root_records = _record_sequence(root_vals)
         root_div = bool(root_records) and root_vals[root_records[-1]] > LADDER_MAX
         shifted = None
@@ -607,7 +561,7 @@ def limit_point_report(
             shifted = {}
             for l in range(1, shifts + 1):
                 vals = [
-                    q_value(found, n + l, tree, spec)
+                    _q(found, n + l, tree, spec)
                     for n in range(horizon + 1 - l)
                 ]
                 recs = _record_sequence(vals)
@@ -634,7 +588,7 @@ def limit_point_report(
         for i in range(1, min(decay_indices, max(0, len(usable) - 1)) + 1):
             n_i = usable[i - 1]
             values = [
-                to_float(abs(tree.weight(p_n(found, nk - n_i, tree))))
+                to_float(abs(tree.weight(_p_n(found, nk - n_i, tree))))
                 for nk in usable[i:]
             ]
             tail = values[len(values) // 2:]

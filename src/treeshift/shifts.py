@@ -3,8 +3,12 @@
 B sums a function over the children of each vertex (B e_v = e_parent(v), with
 the root absorbed to 0); S is the formal transpose (S e_v = sum of e_u over
 children u).  Operator norms follow the per-vertex ratio formulas of the
-weighted-shift boundedness criterion, evaluated as a supremum over a finite
-truncation; on infinite trees that value is a certified lower bound.
+weighted-shift boundedness criterion, a p*-mass of weight ratios combined by
+`spaces.DualExponent`, evaluated as a supremum over a finite truncation; on
+infinite trees that value is a certified lower bound.
+
+Public functions check the addresses of the vectors they are given; vectors
+built here (B-iterates, witnesses) go through the unchecked kernels.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .spaces import SpaceSpec, SparseVector, norm, powed, to_float
+from .spaces import SpaceSpec, SparseVector, _check_support, _norm, to_float
 from .trees import (
     TreeModel,
     Truncation,
@@ -24,28 +28,15 @@ from .trees import (
 
 def apply_B(f: SparseVector, tree: TreeModel) -> SparseVector:
     """(Bf)(v) = sum of f over the children of v; empty sums are zero."""
-    for v in f.support():
-        tree.check(v)
-    acc: dict[VertexAddress, object] = {}
-    for v, x in f.items():
-        pv = VertexAddress(v.up, v.path[:-1]) if v.path else (
-            None if tree.rooted else VertexAddress(v.up + 1)
-        )
-        if pv is None:
-            continue
-        y = acc.get(pv, 0) + x
-        if y == 0:
-            acc.pop(pv, None)
-        else:
-            acc[pv] = y
-    return SparseVector(acc)
+    _check_support(f, tree)
+    return _apply_B_pow(f, 1, tree)
 
 
 def apply_S(f: SparseVector, tree: TreeModel) -> SparseVector:
     """(Sf)(v) = f(parent(v)); on basis vectors S e_v spreads over Chi(v)."""
+    _check_support(f, tree)
     acc: dict[VertexAddress, object] = {}
     for v, x in f.items():
-        tree.check(v)
         for c in _children(v, tree):
             y = acc.get(c, 0) + x
             if y == 0:
@@ -59,10 +50,14 @@ def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     """B^n f in one pass: every entry moves to its n-fold parent."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_support(f, tree)
+    return _apply_B_pow(f, n, tree)
+
+
+def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
+    """``apply_B_pow`` of a vector whose support is already known to be valid."""
     if n == 0:
         return SparseVector(dict(f.items()))
-    for v in f.support():
-        tree.check(v)
     rooted = tree.rooted
     acc: dict[VertexAddress, object] = {}
     for v, x in f.items():
@@ -97,9 +92,9 @@ def operator_norm(
     spec: SpaceSpec, tree: TreeModel, trunc: Truncation = Truncation()
 ) -> OperatorNormResult:
     """Norm of B per the boundedness criterion: sup over enumerated vertices of
-    |mu_p(v)/mu_v| (l^1), (sum |mu_v/mu_u|^p*)^(1/p*) (l^p), or the plain ratio
-    sum (c0).  Monotone nondecreasing in the truncation."""
-    q = spec.conjugate if spec.kind == "lp" else None
+    the p*-mass of the ratios |mu_v/mu_u| over the children u of v, its p*-th
+    root for l^p (p > 1).  Monotone nondecreasing in the truncation."""
+    dual = spec.dual
     best = None
     best_at = None
     frontier_open = tree.kind == "unrooted"
@@ -110,23 +105,13 @@ def operator_norm(
         if len(v.path) == trunc.depth:
             frontier_open = True
         wv = tree.weight(v)
-        kids = _children(v, tree)
-        if spec.kind == "lp" and spec.p == 1:
-            cand = max(abs(wv / tree.weight(u)) for u in kids)
-        elif spec.kind == "lp":
-            cand = sum(powed(wv / tree.weight(u), q) for u in kids)
-        else:
-            cand = sum(abs(wv / tree.weight(u)) for u in kids)
+        cand = dual.combine(dual.power(wv / tree.weight(u)) for u in _children(v, tree))
         if best is None or cand > best:
             best, best_at = cand, v
     if best is None:  # single isolated root
         best = 0
-    if spec.kind == "lp" and spec.p != 1:
-        value = to_float(best) ** (1.0 / float(q))
-    else:
-        value = to_float(best)
     return OperatorNormResult(
-        value=value,
+        value=to_float(dual.root(best)),
         powered=best,
         is_sup_over_truncation=frontier_open,
         argmax=best_at,
@@ -145,14 +130,15 @@ class OrbitPoint:
 def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list[OrbitPoint]:
     """Iterates (n, B^n f, ||B^n f||) for n = 0..n_max, stopping after the
     first zero iterate (rooted orbits of finite vectors die in finite time)."""
+    _check_support(f, tree)
     out = []
     cur = SparseVector(dict(f.items()))
     for n in range(n_max + 1):
-        out.append(OrbitPoint(n, cur, to_float(norm(cur, spec, tree))))
+        out.append(OrbitPoint(n, cur, to_float(_norm(cur, spec, tree))))
         if not cur:
             break
         if n < n_max:
-            cur = apply_B(cur, tree)
+            cur = _apply_B_pow(cur, 1, tree)
     return out
 
 
@@ -183,6 +169,13 @@ def witness_return(
     relative ``slack``), else None.  Failure only means this witness family did
     not certify n, never that n is outside the return set.
     """
+    _check_support(U.center, tree)
+    _check_support(V.center, tree)
+    return _witness_return(n, U, V, tree, slack)
+
+
+def _witness_return(n, U, V, tree, slack) -> Optional[SparseVector]:
+    """``witness_return`` with ball centres already known to be valid."""
     from .simplex import build_In_unrooted, build_Sn
     from .errors import EmptyFiberError
 
@@ -190,7 +183,7 @@ def witness_return(
     r_v = V.radius * (1.0 - slack)
     if n == 0:
         f = U.center
-        if to_float(norm(f - V.center, V.space, tree)) < r_v:
+        if to_float(_norm(f - V.center, V.space, tree)) < r_v:
             return f
         return None
 
@@ -207,9 +200,9 @@ def witness_return(
     except EmptyFiberError:
         return None
     f = i_part + s_part
-    if to_float(norm(f - U.center, U.space, tree)) >= r_u:
+    if to_float(_norm(f - U.center, U.space, tree)) >= r_u:
         return None
-    if to_float(norm(apply_B_pow(f, n, tree) - V.center, V.space, tree)) >= r_v:
+    if to_float(_norm(_apply_B_pow(f, n, tree) - V.center, V.space, tree)) >= r_v:
         return None
     return f
 
@@ -236,9 +229,11 @@ def return_set_report(
     tree: TreeModel,
     slack: float = 1e-6,
 ) -> ReturnSetReport:
+    _check_support(U.center, tree)
+    _check_support(V.center, tree)
     report = ReturnSetReport(horizon=horizon)
     for n in range(horizon + 1):
-        w = witness_return(n, U, V, tree, slack)
+        w = _witness_return(n, U, V, tree, slack)
         if w is None:
             report.uncertified.add(n)
         else:

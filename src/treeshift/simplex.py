@@ -2,16 +2,17 @@
 built from it.
 
 For nonzero weights (mu_j) the infimum of the weighted norm over the simplex
-{x >= 0, sum x = 1} has a closed form per space kind; the minimiser spreads
-mass proportionally to |mu_j|^-p* (p > 1), to 1/|mu_j| (sup norm), or
-concentrates on an argmin (l^1).  These minimisers power the right inverses
-S_n of B^n, the approximate-kernel maps I_n on unrooted trees, and the
-synthesis of vectors whose orbit keeps returning to e_root.
+{x >= 0, sum x = 1} is `spaces.DualExponent.infimum` of the p*-mass of the
+weights; the minimiser spreads mass proportionally to 1/|mu_j|^p*, or, for
+l^1 (p* = inf), concentrates on an argmin.  These minimisers power the right
+inverses S_n of B^n, the approximate-kernel maps I_n on unrooted trees, and
+the synthesis of vectors whose orbit keeps returning to e_root.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -22,7 +23,15 @@ from .errors import (
     EmptyIndexSetError,
     RootedTreeError,
 )
-from .spaces import SpaceSpec, SparseVector, basis, norm, powed, safe_div, to_float
+from .spaces import (
+    DualExponent,
+    SpaceSpec,
+    SparseVector,
+    _norm,
+    basis,
+    fiber_mass,
+    to_float,
+)
 from .trees import ANCHOR, TreeModel, Truncation, VertexAddress, chi_n, p_n
 
 
@@ -42,26 +51,14 @@ class SimplexInstance:
 
 
 def simplex_inf_powered(inst: SimplexInstance):
-    """The mass whose root gives the infimum: sum 1/|mu_j|^p* for l^p (p > 1),
-    sum 1/|mu_j| for the sup norm, min |mu_j| for l^1 (returned directly)."""
-    spec = inst.space
-    if spec.kind == "lp" and spec.p == 1:
-        return min(abs(w) for w in inst.weights)
-    if spec.kind == "lp":
-        q = spec.conjugate
-        return sum(1 / powed(w, q) for w in inst.weights)
-    return sum(1 / abs(w) for w in inst.weights)
+    """The mass whose root gives the infimum: ``DualExponent.mass`` of the
+    weights, with plain division so float weights give float masses."""
+    return inst.space.dual.mass(((w, 1) for w in inst.weights), div=operator.truediv)
 
 
 def simplex_inf(inst: SimplexInstance):
     """inf over {x >= 0, sum |x_j| = 1} of the norm of (x_j mu_j)_j."""
-    spec = inst.space
-    mass = simplex_inf_powered(inst)
-    if spec.kind == "lp" and spec.p == 1:
-        return mass
-    if spec.kind == "lp":
-        return to_float(mass) ** (-1.0 / float(spec.conjugate))
-    return 1 / mass
+    return inst.space.dual.infimum(simplex_inf_powered(inst))
 
 
 def simplex_optimizer(inst: SimplexInstance, delta: float = 1e-9) -> list:
@@ -73,23 +70,15 @@ def simplex_optimizer(inst: SimplexInstance, delta: float = 1e-9) -> list:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    spec = inst.space
+    dual = inst.space.dual
     ws = inst.weights
-    if spec.kind == "lp" and spec.p == 1:
-        m = min(abs(w) for w in ws)
+    if dual.is_max:
+        m = simplex_inf(inst)
         idx = next(i for i, w in enumerate(ws) if abs(w) <= m + delta)
         return [1 if i == idx else 0 for i in range(len(ws))]
-    if spec.kind == "lp":
-        q = spec.conjugate
-        inv = [1 / powed(w, q) for w in ws]
-    else:
-        inv = [1 / abs(w) for w in ws]
+    inv = [1 / dual.power(w) for w in ws]
     total = sum(inv)
     return [x / total for x in inv]
-
-
-def _fiber(v, n: int, tree: TreeModel) -> list[VertexAddress]:
-    return list(chi_n(v, n, tree))
 
 
 def build_Sn(
@@ -105,10 +94,10 @@ def build_Sn(
 
     For l^1 the mass concentrates on one near-minimal weight; the fiber is
     sorted so ties break toward the lowest canonical address."""
-    fiber = _fiber(v, n, tree)
+    fiber = list(chi_n(v, n, tree))
     if not fiber:
         raise EmptyFiberError(f"Chi^{n}({v}) is empty")
-    if spec.kind == "lp" and spec.p == 1:
+    if spec.dual.is_max:
         fiber.sort()
     weights = tuple(tree.weight(u) for u in fiber)
     if delta is None:
@@ -135,13 +124,13 @@ class InUnrootedResult:
 def build_In_unrooted(v, n: int, tree: TreeModel, spec: SpaceSpec) -> InUnrootedResult:
     if tree.rooted:
         raise RootedTreeError("I_n with spine cancellation needs an unrooted tree")
-    tree.check(v)
     s = p_n(v, n, tree)
     ws = tree.weight(s)
-    fiber = _fiber(s, n, tree)
+    fiber = list(chi_n(s, n, tree))
     weights = tuple(tree.weight(u) for u in fiber)
+    dual = spec.dual
 
-    if spec.kind == "lp" and spec.p == 1:
+    if dual.is_max:
         fiber_min = min(abs(w) for w in weights)
         m = min(abs(ws), fiber_min)
         if abs(ws) <= fiber_min:
@@ -150,24 +139,13 @@ def build_In_unrooted(v, n: int, tree: TreeModel, spec: SpaceSpec) -> InUnrooted
         h = SparseVector({fiber[idx]: 1})
         return InUnrootedResult(basis(v) - h, "cancelled", to_float(m))
 
-    if spec.kind == "lp":
-        q = spec.conjugate
-        spine_term = 1 / powed(ws, q)
-        fiber_mass = sum(1 / powed(w, q) for w in weights)
-        total = spine_term + fiber_mass
-        bound = to_float(2 / total) ** (1.0 / float(q))
-        if 2 * spine_term >= total:
-            return InUnrootedResult(basis(v), "kept", bound)
-        inv = [1 / powed(w, q) for w in weights]
-    else:
-        spine_term = 1 / abs(ws)
-        fiber_mass = sum(1 / abs(w) for w in weights)
-        total = spine_term + fiber_mass
-        bound = to_float(2 / total)
-        if 2 * spine_term >= total:
-            return InUnrootedResult(basis(v), "kept", bound)
-        inv = [1 / abs(w) for w in weights]
+    spine_term = 1 / dual.power(ws)
+    inv = [1 / dual.power(w) for w in weights]
     mass = sum(inv)
+    total = spine_term + mass
+    bound = to_float(dual.root(2 / total))
+    if 2 * spine_term >= total:
+        return InUnrootedResult(basis(v), "kept", bound)
     h = SparseVector({u: x / mass for u, x in zip(fiber, inv)})
     return InUnrootedResult(basis(v) - h, "cancelled", bound)
 
@@ -213,65 +191,33 @@ class RecurrentSynthesis:
     operator_norm_value: float
 
 
-def _fiber_inf_powered(tree: TreeModel, v, n: int, spec: SpaceSpec):
-    """Simplex-infimum mass of the fiber Chi^n(v), via the closed-form fiber
-    profile when the tree carries one.  None signals an empty fiber."""
-    profile = tree.fiber_profile(v, n) if tree.fiber_profile else None
-    if profile is not None:
-        if not profile:
-            return None
-        if spec.kind == "lp" and spec.p == 1:
-            return min(abs(w) for w, _ in profile)
-        if spec.kind == "lp":
-            q = spec.conjugate
-            return sum(safe_div(count, powed(w, q)) for w, count in profile)
-        return sum(safe_div(count, abs(w)) for w, count in profile)
-    weights = tuple(tree.weight(u) for u in chi_n(v, n, tree))
-    if not weights:
-        return None
-    return simplex_inf_powered(SimplexInstance(weights, spec))
-
-
 def fiber_simplex_inf(tree: TreeModel, v, n: int, spec: SpaceSpec) -> Optional[float]:
-    mass = _fiber_inf_powered(tree, v, n, spec)
-    if mass is None:
-        return None
-    if spec.kind == "lp" and spec.p == 1:
-        return to_float(mass)
-    if spec.kind == "lp":
-        return to_float(mass) ** (-1.0 / float(spec.conjugate))
-    return to_float(1 / mass)
+    """Simplex infimum of the weights of Chi^n(v) (1/q(v, n)); None when the
+    fiber is empty."""
+    tree.check(v)
+    mass, _ = fiber_mass(tree, VertexAddress(v[0], tuple(v[1])), n, spec)
+    return None if mass is None else to_float(spec.dual.infimum(mass))
 
 
-def _meets_allowance(mass, b: float, opn_powered, prior_ns, spec: SpaceSpec) -> bool:
+def _meets_allowance(mass, b: float, opn_powered, prior_ns, dual: DualExponent) -> bool:
     """Exact test of ``simplex_inf <= b / c`` where c majorises the operator
     norms of the prior steps.
 
-    In the scale where quantities are rational (the p*-powered scale for p>1
-    with integer p*, the plain scale otherwise) every finite float is an exact
-    binary rational, so the comparison is done in Fractions and boundary cases
-    do not wobble with rounding.  Non-integer conjugate exponents fall back to
-    a float comparison with a tiny relative slack.
+    In the scale of masses (p*-powered for l^p with integer p*, plain for
+    c0 and l^1) every finite float is an exact binary rational, so the
+    comparison is done in Fractions and boundary cases do not wobble with
+    rounding.  Non-integer conjugate exponents fall back to a float comparison
+    with a tiny relative slack.
     """
-    q = spec.conjugate if spec.kind == "lp" else None
-    mass_f = to_float(mass)
-    if spec.kind == "lp" and spec.p == 1:
-        if mass_f == 0.0:
-            return True
-        C = max([Fraction(1)] + [Fraction(opn_powered) ** n for n in prior_ns])
-        return Fraction(mass) * C <= Fraction(b)
-    if mass_f == math.inf:
+    inf_n = dual.infimum(mass)
+    if to_float(inf_n) == 0.0:
         return True
-    if spec.kind == "c0":
-        C = max([Fraction(1)] + [Fraction(opn_powered) ** n for n in prior_ns])
-        return C <= Fraction(b) * Fraction(mass)
-    if isinstance(q, int):
-        C = max([Fraction(1)] + [Fraction(opn_powered) ** n for n in prior_ns])
-        return C <= Fraction(b) ** q * Fraction(mass)
-    opn = to_float(opn_powered) ** (1.0 / float(q))
-    c = max([1.0] + [opn ** n for n in prior_ns])
-    inf_n = mass_f ** (-1.0 / float(q))
-    return inf_n <= (b / c) * (1.0 + 1e-12)
+    if not dual.rational:
+        opn = dual.root(opn_powered)
+        c = max([1.0] + [opn ** n for n in prior_ns])
+        return inf_n <= (b / c) * (1.0 + 1e-12)
+    C = max([Fraction(1)] + [Fraction(opn_powered) ** n for n in prior_ns])
+    return C <= dual.threshold(Fraction(b)) * dual.combined(Fraction(mass))
 
 
 def build_recurrent_vector(
@@ -294,8 +240,9 @@ def build_recurrent_vector(
     if not tree.rooted:
         raise RootedTreeError("recurrent-vector synthesis is the rooted construction")
     budget = budget or TailBudget()
-    from .shifts import apply_B_pow, operator_norm
+    from .shifts import _apply_B_pow, operator_norm
 
+    dual = spec.dual
     opn_result = operator_norm(spec, tree, trunc)
     opn = opn_result.value
     retained: list[RecurrentTerm] = []
@@ -311,16 +258,16 @@ def build_recurrent_vector(
         prior_ns = [t.n for t in retained]
         c = max([1.0] + [opn ** m for m in prior_ns])
         allowance = budget.schedule(j) / c
-        mass = _fiber_inf_powered(tree, ANCHOR, n, spec)
+        mass, _ = fiber_mass(tree, ANCHOR, n, spec)
         if mass is None or not _meets_allowance(
-            mass, budget.schedule(j), opn_result.powered, prior_ns, spec
+            mass, budget.schedule(j), opn_result.powered, prior_ns, dual
         ):
-            inf_n = math.inf if mass is None else fiber_simplex_inf(tree, ANCHOR, n, spec)
+            inf_n = math.inf if mass is None else to_float(dual.infimum(mass))
             skipped.append((n, inf_n, allowance))
             continue
         g = build_Sn(ANCHOR, n, tree, spec)
         retained.append(
-            RecurrentTerm(j, n, g, to_float(norm(g, spec, tree)), c, allowance)
+            RecurrentTerm(j, n, g, to_float(_norm(g, spec, tree)), c, allowance)
         )
     if not retained:
         raise CriterionTooWeakError(
@@ -336,7 +283,7 @@ def build_recurrent_vector(
     total = len(retained)
     certificates = []
     for t in retained:
-        residual = to_float(norm(apply_B_pow(f, t.n, tree) - e_root, spec, tree))
+        residual = to_float(_norm(_apply_B_pow(f, t.n, tree) - e_root, spec, tree))
         bound = budget.tail(t.j, total)
         product = sum(opn ** t.n * later.g_norm for later in retained if later.j > t.j)
         verified = residual <= bound + 1e-12 * (1.0 + bound)

@@ -9,12 +9,13 @@ p-th root forces a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import IO, Iterator, Optional
 
 from .errors import InvalidAddressError
-from .trees import TreeModel, VertexAddress, format_address, parse_address
+from .trees import TreeModel, VertexAddress, chi_n, format_address, parse_address
 
 
 def to_float(x) -> float:
@@ -49,6 +50,88 @@ def powed(x, e):
 
 
 @dataclass(frozen=True)
+class DualExponent:
+    """An exponent r in [1, inf] and the arithmetic built on it.
+    ``SpaceSpec.dual`` is the conjugate exponent p* of a space, and its
+    ``conjugate`` the space's own exponent, the one of its norm.
+
+    Conventions: l^p (1 < p < inf) has p* = p/(p-1), c0 has p* = 1 and l^1
+    has p* = inf.  Powered terms |x|^r combine by sum, or by max when r = inf
+    (r = 1 and r = inf leave |x| unpowered); quantities compared with a
+    threshold N are r-th roots of such masses, so N is raised to r instead.
+    Masses stay exact for rational inputs and integer r; roots are floats.
+    This class is the only code that knows these conventions.
+    """
+
+    r: object  # int, Fraction (non-integer) or math.inf
+    plain: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.r, Fraction) and self.r.denominator == 1:
+            object.__setattr__(self, "r", self.r.numerator)
+        object.__setattr__(self, "plain", self.r == 1 or self.r == math.inf)
+
+    @property
+    def is_max(self) -> bool:
+        """r = inf (l^1): terms combine by max, simplex minimisers concentrate."""
+        return self.r == math.inf
+
+    @property
+    def rational(self) -> bool:
+        """Whether powers of rationals stay rational (r an integer or inf)."""
+        return not isinstance(self.r, Fraction)
+
+    @cached_property
+    def conjugate(self) -> "DualExponent":
+        """The exponent r' with 1/r + 1/r' = 1."""
+        if self.r == 1:
+            return DualExponent(math.inf)
+        if self.is_max:
+            return DualExponent(1)
+        return DualExponent(Fraction(self.r) / (self.r - 1))
+
+    def power(self, x):
+        """|x|^r, exact for rational x and integer r; |x| for r = 1 or inf."""
+        return abs(x) if self.plain else powed(x, self.r)
+
+    def combine(self, terms):
+        """Sum of the powered terms, or their max for r = inf (0 if none)."""
+        return max(terms, default=0) if self.is_max else sum(terms)
+
+    def root(self, mass):
+        """The r-th root of a mass as a float; the mass itself for r = 1, inf."""
+        return mass if self.plain else to_float(mass) ** (1.0 / float(self.r))
+
+    def threshold(self, N):
+        """A threshold N in the scale of masses: N^r, or N for r = 1, inf."""
+        return N if self.plain else powed(N, self.r)
+
+    def mass(self, pairs, div=safe_div):
+        """The mass of (weight, count) pairs: sum count/|w|^r, with ``div``
+        as the division.  For r = inf, where the terms 1/|w| combine by max,
+        the mass is min |w| instead, so that the l^1 simplex infimum is that
+        weight itself and not a rounded 1/fl(1/w)."""
+        if self.is_max:
+            return min(abs(w) for w, _ in pairs)
+        return sum(div(count, self.power(w)) for w, count in pairs)
+
+    def combined(self, mass):
+        """The combined terms 1/|w|^r a ``mass`` stands for, in the scale of
+        ``threshold``: the mass itself, or 1/min |w| = max 1/|w| for r = inf."""
+        return safe_div(1, mass) if self.is_max else mass
+
+    def infimum(self, mass):
+        """Infimum over the probability simplex of the norm of (x_j mu_j)_j,
+        given the mass of the weights mu_j: min |mu_j| for r = inf, 1/mass for
+        r = 1, mass^(-1/r) (a float) otherwise."""
+        if self.is_max:
+            return mass
+        if self.r == 1:
+            return 1 / mass
+        return to_float(mass) ** (-1.0 / float(self.r))
+
+
+@dataclass(frozen=True)
 class SpaceSpec:
     """Which Banach space the vectors live in: l^p (1 <= p < inf) or c_0."""
 
@@ -76,24 +159,18 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in ("lp", "c0"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == "lp":
-            if self.p is None or self.p < 1:
-                raise ValueError("l^p spaces need p >= 1")
-            if self.p > 1:
-                # conjugate exponent sanity: 1/p + 1/p* = 1
-                q = self.conjugate
-                q = Fraction(q) if not isinstance(q, Fraction) else q
-                assert abs(Fraction(1, 1) - (1 / self.p + 1 / q)) <= Fraction(1, 10 ** 12)
+        if self.kind == "lp" and (self.p is None or self.p < 1):
+            raise ValueError("l^p spaces need p >= 1")
 
     @property
     def conjugate(self):
         """p* = p/(p-1); math.inf for p = 1; undefined (None) for c0."""
-        if self.kind != "lp":
-            return None
-        if self.p == 1:
-            return math.inf
-        q = self.p / (self.p - 1)
-        return q.numerator if q.denominator == 1 else q
+        return self.dual.r if self.kind == "lp" else None
+
+    @cached_property
+    def dual(self) -> DualExponent:
+        """The conjugate exponent p* of the space: 1 for c0, inf for l^1."""
+        return DualExponent(math.inf if self.kind == "c0" else self.p).conjugate
 
     @property
     def label(self) -> str:
@@ -209,13 +286,17 @@ def _check_support(f: SparseVector, tree: TreeModel) -> None:
         tree.check(v)
 
 
+def _norm_mass(f: SparseVector, exponent: DualExponent, tree: TreeModel):
+    """The mass of the weighted entries |f(v) mu_v| for the norm's exponent."""
+    return exponent.combine(exponent.power(x * tree.weight(v)) for v, x in f.items())
+
+
 def norm_powered(f: SparseVector, spec: SpaceSpec, tree: TreeModel):
     """sum_v |f(v) mu_v|^p for an l^p space; exact when the inputs are."""
     if spec.kind != "lp":
         raise ValueError("norm_powered is only defined for l^p spaces")
     _check_support(f, tree)
-    p = spec.p
-    return sum(powed(x * tree.weight(v), p) for v, x in f.items())
+    return _norm_mass(f, spec.dual.conjugate, tree)
 
 
 def norm(f: SparseVector, spec: SpaceSpec, tree: TreeModel):
@@ -224,15 +305,50 @@ def norm(f: SparseVector, spec: SpaceSpec, tree: TreeModel):
     c0 uses the weighted sup norm, p = 1 the weighted absolute sum (both exact
     for exact inputs); for p > 1 the final root is taken in floats.
     """
+    _check_support(f, tree)
+    return _norm(f, spec, tree)
+
+
+def _norm(f: SparseVector, spec: SpaceSpec, tree: TreeModel):
+    """``norm`` of a vector whose support is already known to be valid."""
     if not f:
         return 0
-    if spec.kind == "c0":
-        _check_support(f, tree)
-        return max(abs(x * tree.weight(v)) for v, x in f.items())
-    if spec.p == 1:
-        _check_support(f, tree)
-        return sum(abs(x * tree.weight(v)) for v, x in f.items())
-    return to_float(norm_powered(f, spec, tree)) ** (1.0 / float(spec.p))
+    exponent = spec.dual.conjugate
+    return exponent.root(_norm_mass(f, exponent, tree))
+
+
+_FIBER_MASS_CACHE_SIZE = 1 << 16
+
+
+def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
+    """``(mass, combined)`` of the fiber Chi^n(v): ``spec.dual.mass`` of its
+    weights (None for an empty fiber) and the ``combined`` terms that mass
+    stands for (0 for an empty fiber).  Weights come from the tree's closed-form
+    fiber profile when it has one and by enumeration otherwise; ``v`` must be
+    a checked VertexAddress.
+
+    Every fiber quantity reads this one mass: q(v, n) is the p*-th root of
+    ``combined`` and the fiber's simplex infimum is the mass's ``infimum``.
+    Both are memoised on the tree (the memo is cleared when full), so they
+    live as long as the tree; keeping ``combined`` spares the criteria a
+    Fraction division per threshold comparison for l^1.
+    """
+    dual = spec.dual
+    key = (v, n, dual)
+    cache = tree.fiber_masses
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    pairs = tree.fiber_profile(v, n) if tree.fiber_profile else None
+    if pairs is None:
+        pairs = [(tree.weight(u), 1) for u in chi_n(v, n, tree)]
+    mass = dual.mass(pairs) if pairs else None
+    entry = (mass, 0 if mass is None else dual.combined(mass))
+    if len(cache) >= _FIBER_MASS_CACHE_SIZE:
+        cache.clear()
+    cache[key] = entry
+    return entry
 
 
 def dump_vector(f: SparseVector, fp: IO[str]) -> None:

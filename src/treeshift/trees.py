@@ -14,7 +14,7 @@ such detours.  All other operations expect canonical addresses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -81,7 +81,6 @@ class EdgeData:
     weights: dict[str, object]
     anchor: str
     kind: str = ROOTED
-    labels: dict[VertexAddress, str] = field(default_factory=dict)
 
 
 class TreeModel:
@@ -92,6 +91,7 @@ class TreeModel:
     optionally gives a closed form for the weight multiset of ``Chi^n(v)`` as
     ``[(weight, count), ...]`` so that criteria over exponentially growing
     fibers stay cheap; it must agree with enumeration wherever both apply.
+    ``fiber_masses`` memoises the fiber masses derived from these rules.
     """
 
     def __init__(
@@ -115,6 +115,7 @@ class TreeModel:
         self.uniform_arity = uniform_arity
         self.fiber_profile = fiber_profile
         self.edge_data = edge_data
+        self.fiber_masses: dict = {}
         self._arity_rule = arity
         self._weight_rule = weight
         self._spine_rule = spine_child_index
@@ -225,6 +226,10 @@ def p_n(v, n: int, tree: TreeModel) -> Optional[VertexAddress]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
+    return _p_n(v, n, tree)
+
+
+def _p_n(v: VertexAddress, n: int, tree: TreeModel) -> Optional[VertexAddress]:
     depth = len(v.path)
     if n <= depth:
         return VertexAddress(v.up, v.path[: depth - n])
@@ -445,7 +450,6 @@ def tree_from_edge_data(data: EdgeData) -> TreeModel:
         addr_to_label[addr] = label
         for i, c in enumerate(kids.get(label, ())):
             stack.append((c, VertexAddress(addr.up, addr.path + (i,))))
-    labelled = EdgeData(data.edges, dict(data.weights), data.anchor, data.kind, addr_to_label)
 
     def arity(v: VertexAddress) -> int:
         lab = addr_to_label.get(v)
@@ -459,4 +463,4 @@ def tree_from_edge_data(data: EdgeData) -> TreeModel:
             raise InvalidAddressError(f"{format_address(v)} is outside the edge-list tree")
         return data.weights[lab]
 
-    return TreeModel(ROOTED, arity, weight, name="edge-list", edge_data=labelled)
+    return TreeModel(ROOTED, arity, weight, name="edge-list", edge_data=data)

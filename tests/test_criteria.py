@@ -305,6 +305,19 @@ def test_concurrent_evaluation_matches_serial(ex72):
     assert serial == parallel
 
 
+def test_fiber_masses_do_not_outlive_the_tree():
+    # fiber masses are memoised on the tree itself, not in a module-level cache
+    import gc
+    import weakref
+
+    tree = ts.example_7_2()
+    ts.q_value(chain_vertex(0, 1), 5, tree, L2)
+    ref = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert ref() is None
+
+
 def test_q_value_saturates_instead_of_overflowing(binary):
     # profile counts grow as big integers; far past float range the value
     # saturates to inf and threshold tests still decide exactly

@@ -108,9 +108,9 @@ def test_optimizer_achieves_within_delta_random():
 
 
 def test_reciprocal_relation_with_q_value(binary, ex72):
-    # q(v, n) * simplex_inf(fiber) = 1 for p > 1 and c0
+    # q(v, n) * simplex_inf(fiber) = 1 in every space
     for tree, v in ((binary, VA(0)), (ex72, chain_vertex(0, 1))):
-        for spec in (L2, ts.SpaceSpec.ell(3), C0):
+        for spec in (L1, L2, ts.SpaceSpec.ell(3), C0):
             for n in range(0, 5):
                 fiber = list(ts.chi_n(v, n, tree))
                 inst = ts.SimplexInstance(tuple(tree.weight(u) for u in fiber), spec)
@@ -119,14 +119,20 @@ def test_reciprocal_relation_with_q_value(binary, ex72):
 
 
 def test_reciprocal_relation_exact(ex72_exact):
-    from treeshift.criteria import _q_powered
-
+    # the exact fiber mass from the closed-form profile equals the mass of the
+    # enumerated chi_n weights, both through fiber_mass on a profile-free copy
+    # of the tree and through the simplex instance of those weights
+    enumerated = ex72_exact.with_weight(ex72_exact.weight)
     u1 = chain_vertex(0, 1)
-    for n in range(0, 6):
-        fiber = list(ts.chi_n(u1, n, ex72_exact))
-        inst = ts.SimplexInstance(tuple(ex72_exact.weight(u) for u in fiber), L2)
-        # the powered fiber quantity is exactly the inverse-power mass
-        assert _q_powered(u1, n, ex72_exact, L2) == ts.simplex_inf_powered(inst)
+    for spec in (L1, L2, C0):
+        for n in range(0, 6):
+            fiber = list(ts.chi_n(u1, n, ex72_exact))
+            inst = ts.SimplexInstance(tuple(ex72_exact.weight(u) for u in fiber), spec)
+            mass, combined = ts.fiber_mass(ex72_exact, u1, n, spec)
+            assert isinstance(mass, Fraction)
+            assert (mass, combined) == ts.fiber_mass(enumerated, u1, n, spec)
+            assert mass == ts.simplex_inf_powered(inst)
+            assert combined == (1 / mass if spec == L1 else mass)
 
 
 def test_build_Sn_binary_uniform(binary):

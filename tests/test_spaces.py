@@ -52,10 +52,34 @@ def test_norm_zero_vector(binary):
     assert ts.norm(ts.SparseVector(), L2, binary) == 0
 
 
-def test_norm_rejects_unresolvable_support(binary):
-    f = ts.SparseVector({VA(0, (5,)): 1.0})
+_BAD = VA(0, (0, 5))  # example_7_2: u_1 has one child
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, tree: ts.norm(f, L2, tree), id="norm"),
+        pytest.param(lambda f, tree: ts.norm_powered(f, L2, tree), id="norm_powered"),
+        pytest.param(lambda f, tree: ts.apply_B(f, tree), id="apply_B"),
+        pytest.param(lambda f, tree: ts.apply_B_pow(f, 3, tree), id="apply_B_pow"),
+        pytest.param(lambda f, tree: ts.apply_S(f, tree), id="apply_S"),
+        pytest.param(lambda f, tree: ts.orbit(f, 3, tree, L2), id="orbit"),
+        pytest.param(
+            lambda f, tree: ts.return_set_report(
+                ts.BallSpec(ts.basis(VA(0)), 0.5, L2), ts.BallSpec(f, 0.5, L2), 3, tree
+            ),
+            id="return_set_report",
+        ),
+        pytest.param(lambda f, tree: ts.q_value(_BAD, 2, tree, L2), id="q_value"),
+        pytest.param(lambda f, tree: ts.j_value(_BAD, 2, tree, L2), id="j_value"),
+        pytest.param(lambda f, tree: ts.I_set([_BAD], 1, tree, L2, 4), id="I_set"),
+    ],
+)
+def test_norm_rejects_unresolvable_support(call, ex72):
+    # user-built vectors and vertices are checked where they enter the library
+    f = ts.SparseVector({_BAD: 1.0})
     with pytest.raises(ts.InvalidAddressError):
-        ts.norm(f, L2, binary)
+        call(f, ex72)
 
 
 def test_norm_exact_mode(ex72_exact):
