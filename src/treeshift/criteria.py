@@ -10,8 +10,10 @@ family; divergence "to infinity" is always evidenced by exceeding a ladder
 capped at 2^12 within the horizon, and every verdict is horizon-stamped rather
 than asserted as a true limit.
 
-Public functions check the vertices they are given; the reports evaluate
-their already checked samples through the unchecked helpers.
+Public functions check the vertices they are given.  The reports read each
+sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
+n = 0..horizon; the floor of a sample set is the elementwise min of its rows,
+and every rung's time set is one threshold of that floor.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import RootedTreeError
-from .families import FamilySpec, Verdict, family_verdict, infinite_family
+from .errors import EmptyIndexSetError, RootedTreeError
+from .families import FamilySpec, Verdict, family_verdict, generated_filter, infinite_family
 from .spaces import SpaceSpec, fiber_mass, to_float
 from .trees import (
     ANCHOR,
@@ -59,21 +61,16 @@ def _j_mass(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec, lam=1):
     return dual.combine((spine, _q_mass(s, n, tree, spec)))
 
 
-def _q(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
-    """``q_value`` of an already checked vertex."""
-    return to_float(spec.dual.root(_q_mass(v, n, tree, spec)))
-
-
-def _j(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
-    """``j_value`` of an already checked vertex."""
-    return to_float(spec.dual.root(_j_mass(v, n, tree, spec)))
+def _value(mass, spec: SpaceSpec) -> float:
+    """The q or j value a mass stands for: its p*-th root, as a float."""
+    return to_float(spec.dual.root(mass))
 
 
 def q_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
     """The fiber quantity compared against N in the transitivity criteria:
     the p*-th root of the p*-mass of 1/|mu_u| over u in Chi^n(v)."""
     (v,) = _checked([v], tree)
-    return _q(v, n, tree, spec)
+    return _value(_q_mass(v, n, tree, spec), spec)
 
 
 def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
@@ -83,31 +80,61 @@ def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
     if tree.rooted:
         raise RootedTreeError("j_value needs the n-fold parent of every vertex")
     (v,) = _checked([v], tree)
-    return _j(v, n, tree, spec)
+    return _value(_j_mass(v, n, tree, spec), spec)
+
+
+def _row(mass, v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
+    """``mass(v, n)`` for n = 0..horizon, one read per (v, n)."""
+    return [mass(v, n, tree, spec) for n in range(horizon + 1)]
+
+
+def _floor(rows: Sequence[list]) -> Optional[list]:
+    """Elementwise min of mass rows: its n-th entry exceeds a threshold iff
+    every row's does.  None, which no threshold constrains, for no rows."""
+    return [min(col) for col in zip(*rows)] if rows else None
+
+
+def _times(floor: Optional[list], N, spec: SpaceSpec, horizon: int) -> set[int]:
+    """The time set of one rung: the n <= horizon where the floor exceeds N
+    (every such n for the floor of an empty set)."""
+    N_pow = spec.dual.threshold(N)
+    if floor is None:
+        return set(range(horizon + 1))
+    return {n for n, m in enumerate(floor) if m > N_pow}
 
 
 def I_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with q(v, n) > N for every v in the finite set F."""
-    verts = _checked(F, tree)
-    N_pow = spec.dual.threshold(N)
-    return {
-        n
-        for n in range(horizon + 1)
-        if all(_q_mass(v, n, tree, spec) > N_pow for v in verts)
-    }
+    rows = [_row(_q_mass, v, tree, spec, horizon) for v in _checked(F, tree)]
+    return _times(_floor(rows), N, spec, horizon)
 
 
 def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with j(v, n) > N for every v in F (unrooted only)."""
     if tree.rooted:
         raise RootedTreeError("J_set is defined on unrooted trees")
-    verts = _checked(F, tree)
-    N_pow = spec.dual.threshold(N)
-    return {
-        n
-        for n in range(horizon + 1)
-        if all(_j_mass(v, n, tree, spec) > N_pow for v in verts)
-    }
+    rows = [_row(_j_mass, v, tree, spec, horizon) for v in _checked(F, tree)]
+    return _times(_floor(rows), N, spec, horizon)
+
+
+def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: int):
+    """Each vertex's q-mass row and, on unrooted trees, its j-mass row (None
+    on rooted ones): every value a report thresholds, read once."""
+    q_rows = {v: _row(_q_mass, v, tree, spec, horizon) for v in vertices}
+    if tree.rooted:
+        return q_rows, None
+    return q_rows, {v: _row(_j_mass, v, tree, spec, horizon) for v in q_rows}
+
+
+def _floors(verts, q_rows: dict, j_rows: Optional[dict]):
+    """The q floor of the set ``verts``, its j floor (None on rooted trees)
+    and the floor its time sets threshold: on unrooted trees the min of the
+    two, whose time sets are those of I intersect J."""
+    q_floor = _floor([q_rows[v] for v in verts])
+    if j_rows is None or q_floor is None:
+        return q_floor, None, q_floor
+    j_floor = _floor([j_rows[v] for v in verts])
+    return q_floor, j_floor, _floor([q_floor, j_floor])
 
 
 def default_sample_sets(
@@ -136,14 +163,27 @@ def _sample_vertices(sample: Optional[Iterable], tree: TreeModel) -> list[Vertex
     return sorted(_checked(sample, tree))
 
 
-def _record_sequence(vals: Sequence[float]) -> list[int]:
-    """Indices where the sequence attains a strictly new maximum."""
+def _diverging_records(vals: Sequence[float]) -> list[int]:
+    """Indices where the sequence attains a strictly new maximum, provided
+    the last of them exceeds the ladder cap; [] otherwise."""
     records, best = [], None
     for n, x in enumerate(vals):
         if best is None or x > best:
             records.append(n)
             best = x
-    return records
+    return records if records and vals[records[-1]] > LADDER_MAX else []
+
+
+def _diverging_vertex(q_rows: Iterable[tuple], spec: SpaceSpec):
+    """``(v, q values, records)`` for the first of the (vertex, q-mass row)
+    pairs whose q values diverge; ``(None, [], [])`` if none does.  Records
+    are taken on the floats, since distinct exact masses can round to one."""
+    for v, masses in q_rows:
+        vals = [_value(m, spec) for m in masses]
+        records = _diverging_records(vals)
+        if records:
+            return v, vals, records
+    return None, [], []
 
 
 @dataclass(frozen=True)
@@ -207,13 +247,12 @@ class DynamicsReport:
 
     def csv_rows(self):
         """(vertex, n, q_value, j_value) rows for plotting."""
+        q_rows, j_rows = _mass_rows(self.csv_vertices, self.tree, self.spec, self.horizon)
         rows = []
-        unrooted = not self.tree.rooted
-        for v in self.csv_vertices:
-            for n in range(self.horizon + 1):
-                q = _q(v, n, self.tree, self.spec)
-                j = _j(v, n, self.tree, self.spec) if unrooted else ""
-                rows.append((format_address(v), n, q, j))
+        for v, row in q_rows.items():
+            for n, m in enumerate(row):
+                j = "" if j_rows is None else _value(j_rows[v][n], self.spec)
+                rows.append((format_address(v), n, _value(m, self.spec), j))
         return rows
 
 
@@ -238,43 +277,27 @@ def dynamics_report(
         sample_sets = default_sample_sets(tree, sample_depth)
     else:
         sample_sets = [frozenset(_checked(F, tree)) for F in sample]
-    unrooted = not tree.rooted
+    for i, F in enumerate(sample_sets):
+        if not F:
+            raise EmptyIndexSetError(f"sample set {i} is empty; each needs a vertex")
+    singles = sorted({v for F in sample_sets for v in F})
+    q_rows, j_rows = _mass_rows(singles, tree, spec, horizon)
 
     entries = []
     for F in sample_sets:
         verts = tuple(sorted(F))
+        q_floor, j_floor, floor = _floors(verts, q_rows, j_rows)
         rungs = []
         for N in ladder:
-            times = I_set(verts, N, tree, spec, horizon)
-            if unrooted:
-                times &= J_set(verts, N, tree, spec, horizon)
+            times = _times(floor, N, spec, horizon)
             verdict = family_verdict(times, fam, horizon)
             rungs.append(RungResult(N, tuple(sorted(times)), verdict))
-        q_sup = max(
-            min(_q(v, n, tree, spec) for v in verts) for n in range(horizon + 1)
-        )
-        j_sup = (
-            max(
-                min(_j(v, n, tree, spec) for v in verts)
-                for n in range(horizon + 1)
-            )
-            if unrooted
-            else None
-        )
+        q_sup = _value(max(q_floor), spec)
+        j_sup = None if j_floor is None else _value(max(j_floor), spec)
         entries.append(SampleSetResult(verts, tuple(rungs), q_sup, j_sup))
 
     satisfied = all(e.acceptable for e in entries)
-
-    singles = sorted({v for F in sample_sets for v in F})
-    witness_vertex = None
-    witness_sequence: list[int] = []
-    for v in singles:
-        vals = [_q(v, n, tree, spec) for n in range(horizon + 1)]
-        records = _record_sequence(vals)
-        if records and vals[records[-1]] > LADDER_MAX:
-            witness_vertex = v
-            witness_sequence = records
-            break
+    witness_vertex, _, witness_sequence = _diverging_vertex(q_rows.items(), spec)
 
     return DynamicsReport(
         tree_name=tree.name,
@@ -514,10 +537,8 @@ class LimitPointReport:
     def csv_rows(self):
         rows = []
         for v in self.sample:
-            for n in range(self.horizon + 1):
-                rows.append(
-                    (format_address(v), n, _q(v, n, self.tree, self.spec))
-                )
+            for n, m in enumerate(_row(_q_mass, v, self.tree, self.spec, self.horizon)):
+                rows.append((format_address(v), n, _value(m, self.spec)))
         return rows
 
 
@@ -539,50 +560,22 @@ def limit_point_report(
     point, and its failure is reported with the observed limiting value.
     """
     sample_verts = _sample_vertices(sample, tree)
+    found, vals, found_records = _diverging_vertex(
+        ((v, _row(_q_mass, v, tree, spec, horizon)) for v in sample_verts), spec
+    )
+    found_values = [vals[n] for n in found_records]
 
-    found = None
-    found_records: list[int] = []
-    found_values: list[float] = []
-    for v in sample_verts:
-        vals = [_q(v, n, tree, spec) for n in range(horizon + 1)]
-        records = _record_sequence(vals)
-        if records and vals[records[-1]] > LADDER_MAX:
-            found = v
-            found_records = records
-            found_values = [vals[n] for n in records]
-            break
-
-    if tree.rooted:
-        root_vals = [_q(ANCHOR, n, tree, spec) for n in range(horizon + 1)]
-        root_records = _record_sequence(root_vals)
-        root_div = bool(root_records) and root_vals[root_records[-1]] > LADDER_MAX
-        shifted = None
-        if found is not None:
-            shifted = {}
-            for l in range(1, shifts + 1):
-                vals = [
-                    _q(found, n + l, tree, spec)
-                    for n in range(horizon + 1 - l)
-                ]
-                recs = _record_sequence(vals)
-                shifted[l] = bool(recs) and vals[recs[-1]] > LADDER_MAX
-        return LimitPointReport(
-            tree.name, spec.label, horizon,
-            status="holds" if found is not None else "fails",
-            diverging_vertex=found,
-            records=found_records,
-            record_values=found_values,
-            root_diverging=root_div,
-            shifted_ok=shifted,
-            decay=None,
-            sample=sample_verts,
-            tree=tree,
-            spec=spec,
-        )
-
-    decay = None
+    root_div = shifted = decay = None
     status = "fails"
-    if found is not None:
+    if tree.rooted:
+        root_vals = [_value(m, spec) for m in _row(_q_mass, ANCHOR, tree, spec, horizon)]
+        root_div = bool(_diverging_records(root_vals))
+        if found is not None:
+            status = "holds"
+            shifted = {
+                l: bool(_diverging_records(vals[l:])) for l in range(1, shifts + 1)
+            }
+    elif found is not None:
         decay = []
         usable = [n for n in found_records if n >= 1]
         for i in range(1, min(decay_indices, max(0, len(usable) - 1)) + 1):
@@ -607,8 +600,8 @@ def limit_point_report(
         diverging_vertex=found,
         records=found_records,
         record_values=found_values,
-        root_diverging=None,
-        shifted_ok=None,
+        root_diverging=root_div,
+        shifted_ok=shifted,
         decay=decay,
         sample=sample_verts,
         tree=tree,
@@ -625,15 +618,13 @@ def transitivity_filter_base(
 ) -> FamilySpec:
     """The filter base of I(F, N) (intersected with J(F, N) on unrooted trees)
     time sets, packaged as a generated-filter family."""
-    from .families import generated_filter
-
+    sets = [tuple(sorted(_checked(F, tree))) for F in sets]
+    q_rows, j_rows = _mass_rows({v for F in sets for v in F}, tree, spec, horizon)
     bases = []
-    for F in sets:
-        verts = tuple(sorted(VertexAddress(v[0], tuple(v[1])) for v in F))
+    for verts in sets:
+        floor = _floors(verts, q_rows, j_rows)[2]
         label_f = "{" + ",".join(format_address(v) for v in verts) + "}"
         for N in thresholds:
-            times = I_set(verts, N, tree, spec, horizon)
-            if not tree.rooted:
-                times &= J_set(verts, N, tree, spec, horizon)
+            times = _times(floor, N, spec, horizon)
             bases.append((f"I({label_f},{N})", frozenset(times)))
     return generated_filter(bases)

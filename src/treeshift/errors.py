@@ -14,7 +14,7 @@ class RootedTreeError(TreeShiftError):
 
 
 class EmptyIndexSetError(TreeShiftError):
-    """A simplex instance was built over an empty index set."""
+    """A simplex instance or a criteria sample set has an empty index set."""
 
 
 class EmptyFiberError(TreeShiftError):

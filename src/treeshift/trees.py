@@ -340,7 +340,7 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
             violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
         try:
             for c in _children(v, tree):
-                if parent(c, tree) != v:
+                if _p_n(c, 1, tree) != v:
                     violations.append(
                         Violation("ParentChildMismatch", str(c), f"parent is not {v}")
                     )

@@ -112,6 +112,14 @@ def test_dynamics_report_full_binary_satisfied(binary):
     assert report.satisfied
     assert report.witness_vertex == VA(0)
     assert report.witness_sequence == list(range(41))
+    # an empty sample set has no q_sup: a typed error, not a bare ValueError;
+    # the time sets of the empty set stay vacuously every time
+    with pytest.raises(ts.EmptyIndexSetError, match="sample set 1 is empty"):
+        ts.dynamics_report(binary, L2, sample=[[VA(0)], []], horizon=5)
+    assert ts.I_set([], 2, binary, L2, 5) == set(range(6))
+    assert ts.J_set([], 2, ts.example_7_2(), L2, 5) == set(range(6))
+    fam = ts.transitivity_filter_base(binary, L2, sets=[[]], thresholds=[2], horizon=5)
+    assert fam.bases == (("I({},2)", frozenset(range(6))),)
 
 
 def test_dynamics_report_unary_fails_at_two(unary):
@@ -270,6 +278,78 @@ def test_limit_point_agrees_with_dynamics_witness(binary):
     assert lim.status == "holds"
     assert dyn.witness_vertex == lim.diverging_vertex
     assert dyn.witness_sequence == lim.records
+
+
+def _records(vals):
+    records, best = [], None
+    for n, x in enumerate(vals):
+        if best is None or x > best:
+            records.append(n)
+            best = x
+    return records
+
+
+def _diverges(vals):
+    records = _records(vals)
+    return bool(records) and vals[records[-1]] > 2 ** 12
+
+
+_ROOTED_HALVING_DOC = """
+[tree]
+kind = rooted
+[arity]
+default = 2
+[weights]
+coef = 1
+ratio = 1/2
+"""
+
+
+@pytest.mark.parametrize(
+    "tree, spec, fam, horizon",
+    [
+        (ts.example_4_1(exact=True), L1, ts.syndetic_family(4), 200),
+        (ts.example_7_2(), C0, ts.infinite_family(), 40),
+        (ts.example_7_2(), ts.SpaceSpec.ell(Fraction(4, 3)), ts.infinite_family(), 40),
+        (ts.resolve_model(ts.parse_tree_spec(_ROOTED_HALVING_DOC)), L2,
+         ts.syndetic_family(2), 9),
+    ],
+    ids=["example_4_1-l1-syndetic4", "example_7_2-c0", "example_7_2-l4_3", "doc-l2"],
+)
+def test_report_assembly_matches_pointwise_oracles(tree, spec, fam, horizon):
+    # every report value equals its definition through the public pointwise
+    # quantities: rung times, sups, witness records and shifted divergence
+    ns = range(horizon + 1)
+    report = ts.dynamics_report(tree, spec, fam, horizon=horizon)
+    for entry in report.entries:
+        F = entry.vertices
+        for rung in entry.rungs:
+            times = ts.I_set(F, rung.N, tree, spec, horizon)
+            if not tree.rooted:
+                times &= ts.J_set(F, rung.N, tree, spec, horizon)
+            assert rung.times == tuple(sorted(times)), (F, rung.N)
+        assert entry.q_sup == max(min(ts.q_value(v, n, tree, spec) for v in F) for n in ns)
+        if tree.rooted:
+            assert entry.j_sup is None
+        else:
+            assert entry.j_sup == max(
+                min(ts.j_value(v, n, tree, spec) for v in F) for n in ns
+            )
+    q_rows = {v: [ts.q_value(v, n, tree, spec) for n in ns] for v in report.csv_vertices}
+    witness = next((v for v, row in q_rows.items() if _diverges(row)), None)
+    assert report.witness_vertex == witness
+    assert report.witness_sequence == (_records(q_rows[witness]) if witness else [])
+
+    lim = ts.limit_point_report(tree, spec, horizon=horizon)
+    if lim.diverging_vertex is not None:
+        row = [ts.q_value(lim.diverging_vertex, n, tree, spec) for n in ns]
+        assert lim.records == _records(row)
+    if tree.rooted and lim.diverging_vertex is not None:
+        assert lim.shifted_ok == {
+            l: _diverges([ts.q_value(lim.diverging_vertex, n + l, tree, spec)
+                          for n in range(horizon + 1 - l)])
+            for l in range(1, 5)
+        }
 
 
 def test_transitivity_filter_base(ex72):

@@ -255,7 +255,9 @@ def test_rooted_truncation_is_union_of_fibers(binary):
     assert from_enum == from_fibers
 
 
-@pytest.mark.parametrize("name", ["full_binary", "unary_path", "example_4_1", "example_7_2"])
+@pytest.mark.parametrize(
+    "name", ["full_binary", "unary_path", "example_4_1", "example_7_2", "bi_infinite_path"]
+)
 def test_fiber_profile_matches_enumeration(name):
     tree = ts.make_preset(name)
     rng = random.Random(7)
