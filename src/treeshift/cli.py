@@ -17,7 +17,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from . import criteria as crit
 from .errors import TreeShiftError, TreeSpecError, UnknownPresetError
@@ -124,14 +124,16 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fp.write(text + "\n")
 
 
-def _write_csv(config: RunConfig, header: list[str], rows) -> None:
+def _write_csv(config: RunConfig, header: list[str], rows: Callable[[], Iterable]) -> None:
+    """Write the rows ``rows()`` returns to the --csv path; without --csv
+    they are never built."""
     if not config.csv_path:
         return
     with open(config.csv_path, "w", encoding="utf-8", newline="") as fp:
         fp.write(f"# treeshift {config.command}; seed={config.seed}\n")
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
+        for row in rows():
             writer.writerow([_fmt(x) for x in row])
 
 
@@ -181,7 +183,7 @@ def _cmd_validate(config: RunConfig) -> int:
         lines.append(f"  {v.code} at {v.where}: {v.detail}")
     _emit("\n".join(lines), config.out)
     _write_csv(config, ["code", "where", "detail"],
-               [(v.code, v.where, v.detail) for v in report.violations])
+               lambda: [(v.code, v.where, v.detail) for v in report.violations])
     return 0 if report.ok else 2
 
 
@@ -198,7 +200,7 @@ def _cmd_norm(config: RunConfig) -> int:
     _write_csv(
         config,
         ["space", "value", "is_sup_over_truncation"],
-        [(config.space.label, result.value, result.is_sup_over_truncation)],
+        lambda: [(config.space.label, result.value, result.is_sup_over_truncation)],
     )
     return 0
 
@@ -219,7 +221,7 @@ def _cmd_orbit(config: RunConfig) -> int:
     lines = [f"orbit of a {len(f)}-point vector on {tree.name} ({config.space.label})"]
     lines.extend(f"  n={p.n}: ||B^n f|| = {_fmt(p.norm)}" for p in points)
     _emit("\n".join(lines), config.out)
-    _write_csv(config, ["n", "norm"], [(p.n, p.norm) for p in points])
+    _write_csv(config, ["n", "norm"], lambda: [(p.n, p.norm) for p in points])
     return 0
 
 
@@ -228,7 +230,7 @@ def _cmd_criteria(config: RunConfig) -> int:
     fam = _parse_family(config.options.get("family") or "infinite")
     report = crit.dynamics_report(tree, config.space, fam, horizon=config.horizon)
     _emit(report.to_text(), config.out)
-    _write_csv(config, ["vertex", "n", "q_value", "j_value"], report.csv_rows())
+    _write_csv(config, ["vertex", "n", "q_value", "j_value"], report.csv_rows)
     return 0
 
 
@@ -239,7 +241,7 @@ def _cmd_supercyclic(config: RunConfig) -> int:
         tree, config.space, gamma, horizon=config.horizon, trunc=trunc
     )
     _emit(report.to_text(), config.out)
-    _write_csv(config, ["threshold", "n", "k", "abs_lambda"], report.csv_rows())
+    _write_csv(config, ["threshold", "n", "k", "abs_lambda"], report.csv_rows)
     return 0
 
 
@@ -247,7 +249,7 @@ def _cmd_limit_point(config: RunConfig) -> int:
     tree, _ = _load_model(config)
     report = crit.limit_point_report(tree, config.space, horizon=config.horizon)
     _emit(report.to_text(), config.out)
-    _write_csv(config, ["vertex", "n", "q_value"], report.csv_rows())
+    _write_csv(config, ["vertex", "n", "q_value"], report.csv_rows)
     return 0
 
 
@@ -265,10 +267,12 @@ def _cmd_return_set(config: RunConfig) -> int:
         f"uncertified (not refuted): {sorted(report.uncertified)}",
         config.out,
     )
-    rows = []
-    for n in range(config.horizon + 1):
-        w = report.certified.get(n)
-        rows.append((n, w is not None, "" if w is None else norm(w, space, tree)))
+
+    def rows():
+        for n in range(config.horizon + 1):
+            w = report.certified.get(n)
+            yield n, w is not None, "" if w is None else norm(w, space, tree)
+
     _write_csv(config, ["n", "certified", "witness_norm"], rows)
     return 0
 
@@ -371,7 +375,7 @@ def _cmd_reproduce(config: RunConfig) -> int:
     name = config.options["name"]
     ok, text, header, rows = reproduce(name, config)
     _emit(text, config.out)
-    _write_csv(config, header, rows)
+    _write_csv(config, header, lambda: rows)
     return 0 if ok else 1
 
 

@@ -619,6 +619,7 @@ def transitivity_filter_base(
     """The filter base of I(F, N) (intersected with J(F, N) on unrooted trees)
     time sets, packaged as a generated-filter family."""
     sets = [tuple(sorted(_checked(F, tree))) for F in sets]
+    thresholds = list(thresholds)
     q_rows, j_rows = _mass_rows({v for F in sets for v in F}, tree, spec, horizon)
     bases = []
     for verts in sets:

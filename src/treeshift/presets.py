@@ -54,7 +54,8 @@ def spine_vertex(k: int) -> VertexAddress:
 
 
 def full_binary() -> TreeModel:
-    """Rooted tree where every vertex has two children and weight 1."""
+    """Rooted tree where every vertex has two children and weight 1, so all
+    vertices share one vertex type."""
     return TreeModel(
         ROOTED,
         arity=lambda v: 2,
@@ -62,12 +63,13 @@ def full_binary() -> TreeModel:
         name="full_binary",
         fiber_profile=lambda v, n: [(1, 2 ** n)],
         uniform_arity=2,
+        vertex_type=lambda v: 0,
     )
 
 
 def unary_path() -> TreeModel:
     """Rooted path 0 -> 1 -> 2 -> ... with weight 1 (the classical
-    non-hypercyclic unilateral backward shift)."""
+    non-hypercyclic unilateral backward shift); one vertex type."""
     return TreeModel(
         ROOTED,
         arity=lambda v: 1,
@@ -75,6 +77,7 @@ def unary_path() -> TreeModel:
         name="unary_path",
         fiber_profile=lambda v, n: [(1, 1)],
         uniform_arity=1,
+        vertex_type=lambda v: 0,
     )
 
 

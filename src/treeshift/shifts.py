@@ -22,7 +22,7 @@ from .trees import (
     Truncation,
     VertexAddress,
     _children,
-    enumerate_truncation,
+    enumerate_distinct_subtrees,
 )
 
 
@@ -93,12 +93,17 @@ def operator_norm(
 ) -> OperatorNormResult:
     """Norm of B per the boundedness criterion: sup over enumerated vertices of
     the p*-mass of the ratios |mu_v/mu_u| over the children u of v, its p*-th
-    root for l^p (p > 1).  Monotone nondecreasing in the truncation."""
+    root for l^p (p > 1).  Monotone nondecreasing in the truncation.
+
+    The walk skips subtrees that repeat an earlier one by vertex type
+    (`enumerate_distinct_subtrees`): their ratios repeat values already met,
+    so the value, the argmax (the first strict maximum) and the frontier flag
+    are those of the full walk."""
     dual = spec.dual
     best = None
     best_at = None
     frontier_open = tree.kind == "unrooted"
-    for v in enumerate_truncation(tree, trunc):
+    for v in enumerate_distinct_subtrees(tree, trunc):
         a = tree.arity(v)
         if a <= 0:
             continue

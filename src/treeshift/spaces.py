@@ -15,7 +15,15 @@ from fractions import Fraction
 from typing import IO, Iterator, Optional
 
 from .errors import InvalidAddressError
-from .trees import TreeModel, VertexAddress, chi_n, format_address, parse_address
+from .trees import (
+    MEMO_SIZE,
+    TreeModel,
+    VertexAddress,
+    _fiber_types,
+    chi_n,
+    format_address,
+    parse_address,
+)
 
 
 def to_float(x) -> float:
@@ -317,15 +325,13 @@ def _norm(f: SparseVector, spec: SpaceSpec, tree: TreeModel):
     return exponent.root(_norm_mass(f, exponent, tree))
 
 
-_FIBER_MASS_CACHE_SIZE = 1 << 16
-
-
 def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     """``(mass, combined)`` of the fiber Chi^n(v): ``spec.dual.mass`` of its
     weights (None for an empty fiber) and the ``combined`` terms that mass
-    stands for (0 for an empty fiber).  Weights come from the tree's closed-form
-    fiber profile when it has one and by enumeration otherwise; ``v`` must be
-    a checked VertexAddress.
+    stands for (0 for an empty fiber).  ``v`` must be a checked VertexAddress.
+    The (weight, count) pairs come from the tree's closed-form fiber profile
+    when it has one, else from a sweep over its vertex types when it has
+    those, else from enumerating the fiber.
 
     Every fiber quantity reads this one mass: q(v, n) is the p*-th root of
     ``combined`` and the fiber's simplex infimum is the mass's ``infimum``.
@@ -341,11 +347,13 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     except KeyError:
         pass
     pairs = tree.fiber_profile(v, n) if tree.fiber_profile else None
+    if pairs is None and tree.vertex_type:
+        pairs = [(tree.weight(u), count) for u, count in _fiber_types(v, n, tree)]
     if pairs is None:
         pairs = [(tree.weight(u), 1) for u in chi_n(v, n, tree)]
     mass = dual.mass(pairs) if pairs else None
     entry = (mass, 0 if mass is None else dual.combined(mass))
-    if len(cache) >= _FIBER_MASS_CACHE_SIZE:
+    if len(cache) >= MEMO_SIZE:
         cache.clear()
     cache[key] = entry
     return entry

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidAddressError, TreeSpecError
 
@@ -43,6 +43,8 @@ class VertexAddress(NamedTuple):
 
 
 ANCHOR = VertexAddress(0, ())
+
+MEMO_SIZE = 1 << 16  # the most entries any per-tree memo holds
 
 
 def format_address(v: VertexAddress) -> str:
@@ -91,7 +93,16 @@ class TreeModel:
     optionally gives a closed form for the weight multiset of ``Chi^n(v)`` as
     ``[(weight, count), ...]`` so that criteria over exponentially growing
     fibers stay cheap; it must agree with enumeration wherever both apply.
-    ``fiber_masses`` memoises the fiber masses derived from these rules.
+
+    ``vertex_type`` optionally maps each vertex to a hashable key with one
+    contract: two vertices with equal keys have equal arity, equal weight, and
+    children whose keys are equal, in order.  Their subtrees are then copies
+    of each other, so fibers are swept one representative per key and level
+    (`spaces.fiber_mass`) and operator norms skip repeated subtrees.  Keying a
+    vertex by its own address always satisfies the contract.
+
+    ``fiber_masses`` and ``fiber_levels`` memoise what is derived from these
+    rules: fiber masses, and the last type level swept below each vertex.
     """
 
     def __init__(
@@ -105,6 +116,7 @@ class TreeModel:
         fiber_profile: Optional[Callable[[VertexAddress, int], Sequence[tuple]]] = None,
         uniform_arity: Optional[int] = None,
         edge_data: Optional[EdgeData] = None,
+        vertex_type: Optional[Callable[[VertexAddress], Hashable]] = None,
     ):
         if kind not in (ROOTED, UNROOTED):
             raise ValueError(f"kind must be {ROOTED!r} or {UNROOTED!r}, got {kind!r}")
@@ -115,12 +127,14 @@ class TreeModel:
         self.uniform_arity = uniform_arity
         self.fiber_profile = fiber_profile
         self.edge_data = edge_data
+        self.vertex_type = vertex_type
         self.fiber_masses: dict = {}
+        self.fiber_levels: dict = {}
         self._arity_rule = arity
         self._weight_rule = weight
         self._spine_rule = spine_child_index
-        self.arity = lru_cache(maxsize=1 << 16)(arity)
-        self.weight = lru_cache(maxsize=1 << 16)(weight)
+        self.arity = lru_cache(maxsize=MEMO_SIZE)(arity)
+        self.weight = lru_cache(maxsize=MEMO_SIZE)(weight)
         self.spine_child_index = (
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
         )
@@ -131,7 +145,8 @@ class TreeModel:
 
     def with_weight(self, weight, *, name=None, fiber_profile=None) -> "TreeModel":
         """Same tree structure with a different weight rule.  The fiber profile
-        is dropped unless a matching one is supplied."""
+        is dropped unless a matching one is supplied, and so is the vertex
+        type, whose keys promise equal weights."""
         return TreeModel(
             self.kind,
             self._arity_rule,
@@ -257,12 +272,62 @@ def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
             stack.extend((c, r - 1) for c in reversed(kids))
 
 
+def _fiber_types(v: VertexAddress, n: int, tree: TreeModel) -> list[tuple[VertexAddress, int]]:
+    """``[(representative, count), ...]``: one pair per vertex type in
+    Chi^n(v), on a tree with a ``vertex_type``; ``v`` must be checked.
+
+    The sweep goes level by level, expanding only each type's representative,
+    and resumes from the level it last reached below ``v`` (memoised in
+    ``tree.fiber_levels``) when that level is not below ``n``.  So a row
+    n = 0..H costs H levels.
+    """
+    key_of = tree.vertex_type
+    memo = tree.fiber_levels
+    last = memo.get(v)
+    if last is not None and last[0] <= n:
+        k, level = last
+    else:
+        k, level = 0, {key_of(v): (v, 1)}
+    while k < n:
+        below = {}
+        for rep, count in level.values():
+            for c in _children(rep, tree):
+                t = key_of(c)
+                seen = below.get(t)
+                below[t] = (c, count) if seen is None else (seen[0], seen[1] + count)
+        k, level = k + 1, below
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[v] = (n, level)
+    return list(level.values())
+
+
 def enumerate_truncation(tree: TreeModel, trunc: Truncation) -> Iterator[VertexAddress]:
     """All canonical addresses with ``up <= ancestry`` and ``len(path) <= depth``.
 
     Each vertex appears exactly once; rooted trees ignore the ancestry bound.
     """
+    yield from _preorder(tree, trunc, None)
+
+
+def enumerate_distinct_subtrees(tree: TreeModel, trunc: Truncation) -> Iterator[VertexAddress]:
+    """`enumerate_truncation` in the same depth-first order, except that the
+    subtree below a vertex is skipped when a vertex of the same
+    ``vertex_type`` at the same remaining depth was yielded before it.  Such a
+    subtree repeats the walked one vertex for vertex, so a quantity computed
+    from each vertex's rules takes no value on it that the walk has not met
+    already.  Trees without a ``vertex_type`` yield every vertex.
+    """
+    yield from _preorder(tree, trunc, tree.vertex_type)
+
+
+def _preorder(tree: TreeModel, trunc: Truncation, key_of) -> Iterator[VertexAddress]:
+    """The walk of both enumerations, one anchor-level start at a time;
+    ``key_of`` skips repeated (type, remaining depth) subtrees.  Starts are
+    never skipped: above the anchor, a start's walked subtree leaves out its
+    spine child, which is the next start."""
     top = trunc.ancestry if tree.kind == UNROOTED else 0
+    seen = set()
     for a in range(top + 1):
         start = VertexAddress(a)
         yield start
@@ -274,6 +339,11 @@ def enumerate_truncation(tree: TreeModel, trunc: Truncation) -> Iterator[VertexA
         stack = [(c, trunc.depth - 1) for c in reversed(firsts)]
         while stack:
             w, r = stack.pop()
+            if key_of is not None:
+                key = (key_of(w), r)
+                if key in seen:
+                    continue
+                seen.add(key)
             yield w
             if r > 0:
                 stack.extend((c, r - 1) for c in reversed(_children(w, tree)))

@@ -36,6 +36,18 @@ explicit finite edge list, or custom arity/weight rules:
     [truncation]
     depth = 16
     ancestry = 16
+
+Custom rule-backed trees get a derived ``vertex_type`` (see `TreeModel`), so
+their fibers are swept by type rather than enumerated.  A vertex's key is its
+``signed_depth``, because off the overrides both rules depend on nothing
+else.  Two kinds of vertex are keyed by their own address instead: every
+ancestor-or-self of an arity or weight override address (its subtree differs
+from the others at its depth), and on unrooted trees every spine vertex above
+the anchor (its children are arranged by the spine rule, which reports an
+out-of-range spine child index).  Keying a vertex by its address is always
+valid, so an override address that is not canonical only marks vertices
+needlessly.  Presets keep their own keys (or none), and edge-list trees have
+none.
 """
 
 from __future__ import annotations
@@ -224,4 +236,15 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
             raise TreeSpecError("spine child_index must be an integer") from None
         spine_rule = lambda k: idx
 
-    return TreeModel(kind, arity, weight, spine_rule, name="custom")
+    marked = {
+        VertexAddress(a.up, a.path[:i])
+        for a in (*arity_overrides, *weight_overrides)
+        for i in range(len(a.path) + 1)
+    }
+
+    def vertex_type(v: VertexAddress):
+        if v in marked or (v.up and not v.path):
+            return v
+        return v.signed_depth
+
+    return TreeModel(kind, arity, weight, spine_rule, name="custom", vertex_type=vertex_type)

@@ -3,6 +3,7 @@
 import pytest
 
 import treeshift as ts
+from treeshift import criteria
 from treeshift.cli import main
 
 
@@ -155,3 +156,34 @@ def test_criteria_csv_deterministic(tmp_path):
     assert main(args + ["--csv", str(a)]) == 0
     assert main(args + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
+    reads = []
+    fiber_mass = criteria.fiber_mass
+
+    def counted(*args):
+        reads.append(args)
+        return fiber_mass(*args)
+
+    monkeypatch.setattr(criteria, "fiber_mass", counted)
+    args = ["criteria", "--preset", "example_4_1", "--horizon", "1000"]
+    assert main(args) == 0
+    assert len(reads) == 7007
+    reads.clear()
+    assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
+    assert len(reads) == 14014
+
+
+def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):
+    """2^64 fiber vertices at the root: only a sweep by vertex type finishes."""
+    spec = tmp_path / "binary.ini"
+    spec.write_text("[tree]\nkind = rooted\n\n[arity]\ndefault = 2\n")
+    csv_path = tmp_path / "q.csv"
+    assert main(["criteria", "--tree", str(spec), "--csv", str(csv_path)]) == 0
+    assert "horizon 64" in capsys.readouterr().out
+    root = [row.split(",") for row in csv_path.read_text().splitlines()[2:]
+            if row.startswith("(0; ),")]
+    assert [int(n) for _, n, _, _ in root] == list(range(65))
+    for _, n, q, _ in root:
+        assert float(q) == pytest.approx(2 ** (int(n) / 2), rel=1e-11)

@@ -365,6 +365,13 @@ def test_transitivity_filter_base(ex72):
     assert v_empty.status == "inconclusive"
 
 
+def test_transitivity_filter_base_reads_thresholds_once(binary):
+    fam = ts.transitivity_filter_base(
+        binary, L2, sets=[[VA(0)], [VA(0, (1,))]], thresholds=(N for N in [1, 2]), horizon=5
+    )
+    assert len(fam.bases) == 4
+
+
 def test_reports_render_text(ex72, binary):
     assert "criterion satisfied" in ts.dynamics_report(binary, L2, horizon=10).to_text()
     assert "verdict at horizon" in ts.limit_point_report(ex72, L2, horizon=10).to_text()
