@@ -8,7 +8,9 @@ weighted-shift boundedness criterion, a p*-mass of weight ratios combined by
 infinite trees that value is a certified lower bound.
 
 Public functions check the addresses of the vectors they are given; vectors
-built here (B-iterates, witnesses) go through the unchecked kernels.
+built here (B-iterates, witnesses) go through the unchecked kernels.  B^n
+results and orbit copies hold no zeros by construction, so they are wrapped
+without the `SparseVector` constructor's zero filter.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .spaces import SpaceSpec, SparseVector, _check_support, _norm, to_float
+from .spaces import SpaceSpec, SparseVector, _check_support, _norm, _vector, to_float
 from .trees import (
     TreeModel,
     Truncation,
@@ -55,25 +57,30 @@ def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
 
 
 def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
-    """``apply_B_pow`` of a vector whose support is already known to be valid."""
+    """``apply_B_pow`` of a vector whose support is already known to be valid.
+
+    One pass in the order of f: each target's sum is accumulated in that
+    order, and a sum that cancels to zero is dropped on the spot."""
     if n == 0:
-        return SparseVector(dict(f.items()))
+        return _vector(dict(f.items()))
     rooted = tree.rooted
     acc: dict[VertexAddress, object] = {}
+    get = acc.get
     for v, x in f.items():
-        depth = len(v.path)
+        up, path = v
+        depth = len(path)
         if n <= depth:
-            target = VertexAddress(v.up, v.path[: depth - n])
+            target = tuple.__new__(VertexAddress, (up, path[: depth - n]))
         elif rooted:
             continue
         else:
-            target = VertexAddress(v.up + (n - depth))
-        y = acc.get(target, 0) + x
+            target = tuple.__new__(VertexAddress, (up + (n - depth), ()))
+        y = get(target, 0) + x
         if y == 0:
             acc.pop(target, None)
         else:
             acc[target] = y
-    return SparseVector(acc)
+    return _vector(acc)
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,7 @@ def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list
     first zero iterate (rooted orbits of finite vectors die in finite time)."""
     _check_support(f, tree)
     out = []
-    cur = SparseVector(dict(f.items()))
+    cur = _vector(dict(f.items()))
     for n in range(n_max + 1):
         out.append(OrbitPoint(n, cur, to_float(_norm(cur, spec, tree))))
         if not cur:

@@ -28,6 +28,7 @@ from .spaces import (
     SpaceSpec,
     SparseVector,
     _norm,
+    _vector,
     basis,
     fiber_mass,
     to_float,
@@ -76,7 +77,9 @@ def simplex_optimizer(inst: SimplexInstance, delta: float = 1e-9) -> list:
         m = simplex_inf(inst)
         idx = next(i for i, w in enumerate(ws) if abs(w) <= m + delta)
         return [1 if i == idx else 0 for i in range(len(ws))]
-    inv = [1 / dual.power(w) for w in ws]
+    keys = list(zip(map(type, ws), ws))  # 1, 1.0 and Fraction(1) power differently
+    inverse = {key: 1 / dual.power(key[1]) for key in dict.fromkeys(keys)}
+    inv = [inverse[key] for key in keys]
     total = sum(inv)
     return [x / total for x in inv]
 
@@ -99,11 +102,11 @@ def build_Sn(
         raise EmptyFiberError(f"Chi^{n}({v}) is empty")
     if spec.dual.is_max:
         fiber.sort()
-    weights = tuple(tree.weight(u) for u in fiber)
+    weights = tuple(map(tree.weight, fiber))
     if delta is None:
         delta = (2.0 ** -n) * 1e-3
     x = simplex_optimizer(SimplexInstance(weights, spec), delta)
-    return SparseVector({u: xi for u, xi in zip(fiber, x) if xi != 0})
+    return _vector({u: xi for u, xi in zip(fiber, x) if xi != 0})
 
 
 @dataclass(frozen=True)
@@ -277,7 +280,7 @@ def build_recurrent_vector(
     merged: dict[VertexAddress, object] = {}
     for t in retained:
         merged.update(t.g.items())
-    f = SparseVector(merged)
+    f = _vector(merged)
 
     e_root = basis(ANCHOR)
     total = len(retained)

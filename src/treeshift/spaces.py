@@ -4,6 +4,14 @@ Arithmetic is polymorphic over the scalar types that flow in: with Fraction
 weights and entries (and an integer exponent) sums stay exact rationals; with
 floats everything degrades gracefully to double precision.  Only the final
 p-th root forces a float.
+
+`DualExponent` resolves its exponent once, when it is built, so that the
+per-entry ``power`` of a norm or a fiber is one ``**``.  A `SparseVector`
+never stores a zero: its constructor filters them out of whatever it is given,
+while vectors the library builds from dicts that already hold none (sums,
+scalar multiples, ``simplex.build_Sn`` and the merged recurrent vector, B^n
+results and orbit copies in ``shifts``) are wrapped by `_vector` without the
+copy and the filter.
 """
 
 from __future__ import annotations
@@ -45,18 +53,6 @@ def safe_div(num, denom):
         return math.inf
 
 
-def powed(x, e):
-    """|x| ** e, staying exact when x is rational and e an integer."""
-    if isinstance(e, Fraction):
-        e = e.numerator if e.denominator == 1 else float(e)
-    if isinstance(e, float) and e.is_integer():
-        e = int(e)
-    base = abs(x)
-    if isinstance(e, int):
-        return base ** e
-    return to_float(base) ** e
-
-
 @dataclass(frozen=True)
 class DualExponent:
     """An exponent r in [1, inf] and the arithmetic built on it.
@@ -73,11 +69,31 @@ class DualExponent:
 
     r: object  # int, Fraction (non-integer) or math.inf
     plain: bool = field(init=False, repr=False, compare=False)
+    # Resolved once: the exponent of ``power`` (an int keeps rationals exact,
+    # a float goes through to_float), 1/r for ``root``, and the hash.
+    _exponent: object = field(init=False, repr=False, compare=False)
+    _exact: bool = field(init=False, repr=False, compare=False)
+    _inverse: float = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.r, Fraction) and self.r.denominator == 1:
-            object.__setattr__(self, "r", self.r.numerator)
-        object.__setattr__(self, "plain", self.r == 1 or self.r == math.inf)
+        r = self.r
+        if isinstance(r, Fraction) and r.denominator == 1:
+            r = r.numerator
+        e = float(r) if isinstance(r, Fraction) else r
+        if isinstance(e, float) and e.is_integer():
+            e = int(e)
+        vars(self).update(
+            r=r,
+            plain=r == 1 or r == math.inf,
+            _exponent=e,
+            _exact=isinstance(e, int),
+            _inverse=1.0 / float(r),
+            _hash=hash((r,)),
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_max(self) -> bool:
@@ -100,7 +116,11 @@ class DualExponent:
 
     def power(self, x):
         """|x|^r, exact for rational x and integer r; |x| for r = 1 or inf."""
-        return abs(x) if self.plain else powed(x, self.r)
+        if self.plain:
+            return abs(x)
+        if self._exact:
+            return abs(x) ** self._exponent
+        return to_float(abs(x)) ** self._exponent
 
     def combine(self, terms):
         """Sum of the powered terms, or their max for r = inf (0 if none)."""
@@ -108,11 +128,11 @@ class DualExponent:
 
     def root(self, mass):
         """The r-th root of a mass as a float; the mass itself for r = 1, inf."""
-        return mass if self.plain else to_float(mass) ** (1.0 / float(self.r))
+        return mass if self.plain else to_float(mass) ** self._inverse
 
     def threshold(self, N):
         """A threshold N in the scale of masses: N^r, or N for r = 1, inf."""
-        return N if self.plain else powed(N, self.r)
+        return N if self.plain else self.power(N)
 
     def mass(self, pairs, div=safe_div):
         """The mass of (weight, count) pairs: sum count/|w|^r, with ``div``
@@ -245,9 +265,7 @@ class SparseVector:
                 d.pop(v, None)
             else:
                 d[v] = y
-        out = SparseVector.__new__(SparseVector)
-        out._entries = d
-        return out
+        return _vector(d)
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + (-1) * other
@@ -258,9 +276,8 @@ class SparseVector:
     def __rmul__(self, scalar) -> "SparseVector":
         if scalar == 0:
             return SparseVector()
-        out = SparseVector.__new__(SparseVector)
-        out._entries = {v: scalar * x for v, x in self._entries.items()}
-        return out
+        # a float product can underflow to 0, which is dropped like any zero
+        return _vector({v: y for v, x in self._entries.items() if (y := scalar * x) != 0})
 
     def __mul__(self, scalar) -> "SparseVector":
         return self.__rmul__(scalar)
@@ -270,6 +287,15 @@ class SparseVector:
             f"{format_address(v)}: {x}" for v, x in sorted(self._entries.items())
         )
         return f"SparseVector({{{parts}}})"
+
+
+def _vector(entries: dict) -> SparseVector:
+    """A SparseVector that takes ``entries`` as they are, without the copy and
+    zero filter of the constructor; for dicts the library built itself and
+    owns, which hold no zero values."""
+    out = SparseVector.__new__(SparseVector)
+    out._entries = entries
+    return out
 
 
 def basis(v) -> SparseVector:
@@ -296,7 +322,8 @@ def _check_support(f: SparseVector, tree: TreeModel) -> None:
 
 def _norm_mass(f: SparseVector, exponent: DualExponent, tree: TreeModel):
     """The mass of the weighted entries |f(v) mu_v| for the norm's exponent."""
-    return exponent.combine(exponent.power(x * tree.weight(v)) for v, x in f.items())
+    power, weight = exponent.power, tree.weight
+    return exponent.combine(power(x * weight(v)) for v, x in f.items())
 
 
 def norm_powered(f: SparseVector, spec: SpaceSpec, tree: TreeModel):

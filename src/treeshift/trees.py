@@ -9,6 +9,11 @@ anchored at the root and never step up.
 An address is *canonical* when the first downward step after the up-steps does
 not immediately re-enter the spine vertex it came from; `canonicalize` reduces
 such detours.  All other operations expect canonical addresses.
+
+Public functions check the addresses they are given.  Addresses the library
+generates itself (children, parents, fibers) are built with `tuple.__new__`
+and are not checked again.  `chi_n` builds a fiber level by level, which at a
+fixed depth gives the depth-first order.
 """
 
 from __future__ import annotations
@@ -125,6 +130,8 @@ class TreeModel:
         self.kind = kind
         self.name = name
         self.uniform_arity = uniform_arity
+        # the valid child indices of a uniform-arity tree, for `check`
+        self._child_indices = frozenset(range(uniform_arity or 0))
         self.fiber_profile = fiber_profile
         self.edge_data = edge_data
         self.vertex_type = vertex_type
@@ -171,6 +178,8 @@ class TreeModel:
             )
         ua = self.uniform_arity
         if ua is not None:
+            if self._child_indices.issuperset(path):  # one C-level scan
+                return
             for i in path:
                 if not 0 <= i < ua:
                     raise InvalidAddressError(
@@ -206,18 +215,17 @@ def _children(v: VertexAddress, tree: TreeModel) -> list[VertexAddress]:
     a = tree.arity(v)
     if a <= 0:
         return []
-    if v.up > 0 and not v.path:
-        s = tree.spine_child_index(v.up - 1)
+    up, base = v
+    if up > 0 and not base:
+        s = tree.spine_child_index(up - 1)
         if not 0 <= s < a:
             raise InvalidAddressError(
                 f"spine child index {s} out of range at {format_address(v)} (arity {a})"
             )
         return [
-            VertexAddress(v.up - 1) if i == s else VertexAddress(v.up, (i,))
-            for i in range(a)
+            tuple.__new__(VertexAddress, (up - 1, ()) if i == s else (up, (i,))) for i in range(a)
         ]
-    base = v.path
-    return [VertexAddress(v.up, base + (i,)) for i in range(a)]
+    return [tuple.__new__(VertexAddress, (up, base + (i,))) for i in range(a)]
 
 
 def children(v, tree: TreeModel) -> list[VertexAddress]:
@@ -245,31 +253,38 @@ def p_n(v, n: int, tree: TreeModel) -> Optional[VertexAddress]:
 
 
 def _p_n(v: VertexAddress, n: int, tree: TreeModel) -> Optional[VertexAddress]:
-    depth = len(v.path)
+    up, path = v
+    depth = len(path)
     if n <= depth:
-        return VertexAddress(v.up, v.path[: depth - n])
+        return tuple.__new__(VertexAddress, (up, path[: depth - n]))
     if tree.rooted:
         return None
-    return VertexAddress(v.up + (n - depth))
+    return tuple.__new__(VertexAddress, (up + (n - depth), ()))
 
 
 def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
     """All descendants exactly ``n`` generations below ``v``, depth-first in
-    child-index order.  ``chi_n(v, 0)`` yields ``v`` itself."""
+    child-index order.  ``chi_n(v, 0)`` yields ``v`` itself.
+
+    The fiber is built one level at a time, each level the children of the
+    previous one in order, which at a fixed depth is the depth-first order.
+    Errors are raised on the first ``next()``, before anything is yielded."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
-    if n == 0:
-        yield VertexAddress(v[0], tuple(v[1]))
-        return
-    stack = [(VertexAddress(v[0], tuple(v[1])), n)]
-    while stack:
-        w, r = stack.pop()
-        kids = _children(w, tree)
-        if r == 1:
-            yield from kids
+    level = [VertexAddress(v[0], tuple(v[1]))]
+    spine_levels = level[0].up if not level[0].path else 0
+    arity = tree.arity
+    for k in range(n):
+        if k < spine_levels:  # the level holds the spine vertex (up - k; )
+            level = [c for w in level for c in _children(w, tree)]
         else:
-            stack.extend((c, r - 1) for c in reversed(kids))
+            level = [
+                tuple.__new__(VertexAddress, (w[0], w[1] + (i,)))
+                for w in level
+                for i in range(arity(w))
+            ]
+    yield from level
 
 
 def _fiber_types(v: VertexAddress, n: int, tree: TreeModel) -> list[tuple[VertexAddress, int]]:

@@ -61,6 +61,20 @@ def test_apply_B_pow_identity_and_composition(binary):
         )
 
 
+def test_library_built_vectors_store_no_zeros(binary):
+    cancelled = ts.apply_B(ts.basis(VA(0, (0,))) - ts.basis(VA(0, (1,))), binary)
+    assert len(cancelled) == 0 and list(cancelled.items()) == []
+    g = ts.build_Sn(VA(0), 3, binary, L1)  # the l^1 minimiser is one vertex
+    assert len(g) == 1 and list(g.items()) == [(VA(0, (0, 0, 0)), 1)]
+    f = random_sparse_vector(random.Random(5), binary)
+    copy = ts.apply_B_pow(f, 0, binary)
+    assert copy is not f and copy == f and list(copy.items()) == list(f.items())
+    points = ts.orbit(f, 3, binary, L2)
+    assert points[0].vector is not f and list(points[0].vector.items()) == list(f.items())
+    for p in points:
+        assert all(x != 0 for _, x in p.vector.items())
+
+
 def test_signed_indicator_orbit_value_at_u1(ex72):
     # (B^(2^k - 1) f)(u_1) = f(u_(2^k)) = 1
     f = ts.example_7_2_vector()

@@ -87,6 +87,9 @@ def test_optimizer_exact_fractions():
     x = ts.simplex_optimizer(inst)
     assert x == [Fraction(4, 5), Fraction(1, 5)]
     assert sum(x) == 1
+    # equal weights of different types keep their own powers: 1/1**2 is a float
+    x = ts.simplex_optimizer(ts.SimplexInstance((Fraction(1), 1, Fraction(1)), L2))
+    assert [type(xi) for xi in x] == [float] * 3
 
 
 def test_optimizer_achieves_within_delta_random():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -111,6 +112,78 @@ def test_sparse_vector_algebra():
     assert set(g.support()) == {b}
     assert (f - f) == 0
     assert len(-f) == 2
+
+
+def test_scalar_multiples_store_no_zeros():
+    f = ts.SparseVector({VA(0, (0,)): 1e-200, VA(0, (1,)): 1.0})
+    g = 1e-200 * f  # the first entry underflows to 0.0
+    assert list(g.items()) == [(VA(0, (1,)), 1e-200)]
+
+
+def _old_powed(x, e):
+    """Reference for ``DualExponent.power``: |x| ** e, with the exponent
+    resolved on every call."""
+    if isinstance(e, Fraction):
+        e = e.numerator if e.denominator == 1 else float(e)
+    if isinstance(e, float) and e.is_integer():
+        e = int(e)
+    base = abs(x)
+    if isinstance(e, int):
+        return base ** e
+    return ts.spaces.to_float(base) ** e
+
+
+def _old_formulas(r):
+    """Reference power, root, threshold and mass built on ``_old_powed``."""
+    plain = r == 1 or r == math.inf
+    to_float, safe_div = ts.spaces.to_float, ts.spaces.safe_div
+
+    def power(x):
+        return abs(x) if plain else _old_powed(x, r)
+
+    def mass(pairs):
+        if r == math.inf:
+            return min(abs(w) for w, _ in pairs)
+        return sum(safe_div(count, power(w)) for w, count in pairs)
+
+    return {
+        "power": power,
+        "root": lambda m: m if plain else to_float(m) ** (1.0 / float(r)),
+        "threshold": lambda N: N if plain else _old_powed(N, r),
+        "mass": mass,
+    }
+
+
+def _bits(f):
+    """repr and type of f(), or the type of the error it raises."""
+    try:
+        y = f()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return repr(y), type(y)
+
+
+_DUAL_INPUTS = [1, 2, -3, 7, 0.5, -1.25, 3.0, 1e-200, 1e200, Fraction(1, 3), Fraction(-7, 2),
+                Fraction(10 ** 400), Fraction(-(10 ** 400), 3), Fraction(1, 10 ** 400)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, Fraction(3, 2), Fraction(4, 3), math.inf])
+def test_dual_exponent_arithmetic_is_unchanged(r):
+    dual, old = ts.DualExponent(r), _old_formulas(r)
+    for x in _DUAL_INPUTS:
+        for name in ("power", "root", "threshold"):
+            assert _bits(lambda: getattr(dual, name)(x)) == _bits(lambda: old[name](x)), (name, x)
+        pairs = [(x, 2), (Fraction(1, 2), 1), (0.75, 3)]
+        assert _bits(lambda: dual.mass(pairs)) == _bits(lambda: old["mass"](pairs)), x
+
+
+def test_equal_dual_exponents_share_a_memo_key():
+    parsed, built = ts.SpaceSpec.parse("3").dual, ts.DualExponent(Fraction(3, 2))
+    assert parsed == built and hash(parsed) == hash(built)
+    assert {(VA(0), 4, parsed): "mass"}[(VA(0), 4, built)] == "mass"
+    assert repr(built) == "DualExponent(r=Fraction(3, 2))"
+    assert ts.DualExponent(Fraction(4, 2)).r == 2
+    assert pickle.loads(pickle.dumps(built)) == built
 
 
 @given(st.integers(0, 10 ** 6))

@@ -54,6 +54,18 @@ def test_canonicalize_rejects_bad_addresses(binary, ex72):
         ts.canonicalize(VA(0, (1, 1)), ex72)  # chains are unary
 
 
+@pytest.mark.parametrize("name, ua", [("full_binary", 2), ("unary_path", 1)])
+def test_uniform_arity_check_messages(name, ua):
+    tree = ts.make_preset(name)
+    assert tree.check(VA(0)) is None
+    assert tree.check(VA(0, (ua - 1,) * 5)) is None
+    for path, bad, shown in [((ua,), ua, f"{ua}"), ((0, ua), ua, f"0.{ua}"),
+                             ((0, -1), -1, "0.-1"), ((ua + 3, -1), ua + 3, f"{ua + 3}.-1")]:
+        with pytest.raises(ts.InvalidAddressError) as exc:
+            tree.check(VA(0, path))
+        assert str(exc.value) == f"child index {bad} out of range 0..{ua - 1} in (0; {shown})"
+
+
 def test_children_examples(binary, ex72):
     assert ts.children(VA(0), binary) == [VA(0, (0,)), VA(0, (1,))]
     # o_0 has exactly the two chain heads u_1, v_1

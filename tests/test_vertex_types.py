@@ -1,5 +1,6 @@
 """Vertex types: fiber masses swept by type and operator norms walked by type
-must equal the vertex-by-vertex results on a type-free copy of the tree."""
+must equal the vertex-by-vertex results on a type-free copy of the tree.  The
+level-wise `chi_n` must equal a depth-first walk on the same generated trees."""
 
 from __future__ import annotations
 
@@ -166,3 +167,64 @@ def test_spine_vertices_keep_the_spine_rule_error():
     assert ts.q_value(VA(2), 1, tree, SPACES[1]) == pytest.approx(3 ** 0.5)
     with pytest.raises(ts.InvalidAddressError, match="spine child index 2"):
         ts.q_value(VA(2), 2, tree, SPACES[1])
+
+
+def _dfs_fiber(v, n: int, tree: ts.TreeModel) -> list:
+    """Chi^n(v) by depth-first recursion over `children`: the reference for
+    the level-wise `chi_n`."""
+    if n == 0:
+        return [v]
+    return [u for c in ts.children(v, tree) for u in _dfs_fiber(c, n - 1, tree)]
+
+
+def _sequence_or_error(f):
+    """f() or, when it raises InvalidAddressError, its type and message."""
+    try:
+        return f()
+    except ts.InvalidAddressError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_chi_n_is_depth_first(tree: ts.TreeModel, verts, depths) -> None:
+    for v in verts:
+        for n in depths:
+            got = _sequence_or_error(lambda: list(ts.chi_n(v, n, tree)))
+            assert got == _sequence_or_error(lambda: _dfs_fiber(v, n, tree)), (v, n)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_wise_chi_n_equals_depth_first_walk(data):
+    tree = parse_tree_spec(data.draw(spec_documents())).source
+    _assert_chi_n_is_depth_first(tree, _vertices(data.draw, tree), range(7))
+
+
+def test_level_wise_chi_n_on_spine_starts_and_edge_lists():
+    ex72 = ts.example_7_2()
+    _assert_chi_n_is_depth_first(ex72, [ts.spine_vertex(k) for k in range(5)], range(8))
+    edges = ts.EdgeData(
+        edges=(("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("d", "f")),
+        weights={lab: 1 for lab in "rabcdef"},
+        anchor="r",
+    )
+    tree = ts.tree_from_edge_data(edges)
+    _assert_chi_n_is_depth_first(tree, list(ts.enumerate_truncation(tree, ts.Truncation(3))),
+                                 range(5))
+
+
+def test_chi_n_errors():
+    bad_spine = ts.TreeModel(ts.UNROOTED, arity=lambda v: 2, weight=lambda v: 1,
+                             spine_child_index=lambda k: 5)
+    with pytest.raises(ts.InvalidAddressError) as got:
+        list(ts.chi_n(VA(2), 3, bad_spine))
+    with pytest.raises(ts.InvalidAddressError) as ref:
+        _dfs_fiber(VA(2), 3, bad_spine)
+    want = "spine child index 5 out of range at (2; ) (arity 2)"
+    assert str(got.value) == str(ref.value) == want
+    binary = ts.full_binary()
+    lazy = ts.chi_n(VA(0), -1, binary)  # nothing is raised before iteration
+    with pytest.raises(ValueError):
+        next(lazy)
+    lazy = ts.chi_n(VA(0, (2,)), 1, binary)
+    with pytest.raises(ts.InvalidAddressError):
+        next(lazy)
