@@ -25,6 +25,7 @@ from .trees import (
     TreeModel,
     Truncation,
     VertexAddress,
+    VertexTypes,
     canonicalize,
     children,
     chi_n,

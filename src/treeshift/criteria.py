@@ -3,17 +3,19 @@
 Everything here reduces to two per-vertex quantities: the fiber quantity
 q(v, n), the p*-th root of the reciprocal weight mass of Chi^n(v)
 (`spaces.fiber_mass` combined by `spaces.DualExponent`), and (on unrooted
-trees) the spine-augmented quantity j(v, n) that adds the n-fold parent's
-reciprocal weight to that mass.  The transitivity/recurrence criteria ask the
-time sets where these exceed every threshold N to belong to a Furstenberg
-family; divergence "to infinity" is always evidenced by exceeding a ladder
-capped at 2^12 within the horizon, and every verdict is horizon-stamped rather
-than asserted as a true limit.
+trees) the spine-augmented quantity j(v, n) that adds the reciprocal weight
+of the n-fold parent p^n(v) to the mass of Chi^n(p^n(v)).  The
+transitivity/recurrence criteria ask the time sets where these exceed every
+threshold N to belong to a Furstenberg family; divergence "to infinity" is
+always evidenced by exceeding a ladder capped at 2^12 within the horizon, and
+every verdict is horizon-stamped rather than asserted as a true limit.
 
 Public functions check the vertices they are given.  The reports read each
 sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
 n = 0..horizon; the floor of a sample set is the elementwise min of its rows,
-and every rung's time set is one threshold of that floor.
+and every rung's time set is one threshold of that floor.  On a tree with
+vertex types a j row follows the spine: the fiber below p^(n+1)(v) is the one
+below p^n(v) merged with the fibers below its siblings.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .trees import (
     Truncation,
     VertexAddress,
     _p_n,
+    _spine_fiber,
     enumerate_truncation,
     format_address,
 )
@@ -46,19 +49,28 @@ def _checked(vertices: Iterable, tree: TreeModel) -> list[VertexAddress]:
     return verts
 
 
-def _q_mass(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec):
-    """q(v, n) in the scale of thresholds (before the p*-th root): the
-    ``combined`` terms of ``fiber_mass``, 0 for an empty fiber."""
-    return fiber_mass(tree, v, n, spec)[1]
-
-
-def _j_mass(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec, lam=1):
-    """j(v, n) in the scale of thresholds; the spine weight is scaled by lam
-    (used by the scalar-scaled supercyclicity displays; lam = 1 recovers j)."""
-    dual = spec.dual
+def _j_parts(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> tuple:
+    """The parts of j(v, n) on an unrooted tree: ``(mu(p^n v), q-mass of
+    Chi^n(p^n v))``.  The mass is `fiber_mass`'s, so vertices whose spines
+    meet share it.  On a tree with vertex types a new one is read from the
+    level that the spine recurrence (`trees._spine_fiber`) leaves in the
+    sweep memo."""
     s = _p_n(v, n, tree)
-    spine = 1 / dual.power(tree.weight(s) * lam)
-    return dual.combine((spine, _q_mass(s, n, tree, spec)))
+    if tree.types is not None and (s, n, spec.dual) not in tree.fiber_masses:
+        _spine_fiber(v, n, tree)
+    return tree.weight(s), fiber_mass(tree, s, n, spec)[1]
+
+
+def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1):
+    """j in the scale of thresholds from its parts, the spine weight scaled
+    by lam (the supercyclicity display; lam = 1 recovers j)."""
+    dual = spec.dual
+    return dual.combine((1 / dual.power(spine_weight * lam), fiber))
+
+
+def _j_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
+    """j(v, n) in the scale of thresholds for n = 0..horizon."""
+    return [_j_term(*_j_parts(v, n, tree, spec), spec) for n in range(horizon + 1)]
 
 
 def _value(mass, spec: SpaceSpec) -> float:
@@ -70,7 +82,7 @@ def q_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
     """The fiber quantity compared against N in the transitivity criteria:
     the p*-th root of the p*-mass of 1/|mu_u| over u in Chi^n(v)."""
     (v,) = _checked([v], tree)
-    return _value(_q_mass(v, n, tree, spec), spec)
+    return _value(fiber_mass(tree, v, n, spec)[1], spec)
 
 
 def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
@@ -80,12 +92,13 @@ def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
     if tree.rooted:
         raise RootedTreeError("j_value needs the n-fold parent of every vertex")
     (v,) = _checked([v], tree)
-    return _value(_j_mass(v, n, tree, spec), spec)
+    return _value(_j_term(*_j_parts(v, n, tree, spec), spec), spec)
 
 
-def _row(mass, v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
-    """``mass(v, n)`` for n = 0..horizon, one read per (v, n)."""
-    return [mass(v, n, tree, spec) for n in range(horizon + 1)]
+def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
+    """q(v, n) in the scale of thresholds (before the p*-th root) for
+    n = 0..horizon: the ``combined`` terms of `fiber_mass`, one read per n."""
+    return [fiber_mass(tree, v, n, spec)[1] for n in range(horizon + 1)]
 
 
 def _floor(rows: Sequence[list]) -> Optional[list]:
@@ -105,7 +118,7 @@ def _times(floor: Optional[list], N, spec: SpaceSpec, horizon: int) -> set[int]:
 
 def I_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with q(v, n) > N for every v in the finite set F."""
-    rows = [_row(_q_mass, v, tree, spec, horizon) for v in _checked(F, tree)]
+    rows = [_q_row(v, tree, spec, horizon) for v in _checked(F, tree)]
     return _times(_floor(rows), N, spec, horizon)
 
 
@@ -113,17 +126,17 @@ def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with j(v, n) > N for every v in F (unrooted only)."""
     if tree.rooted:
         raise RootedTreeError("J_set is defined on unrooted trees")
-    rows = [_row(_j_mass, v, tree, spec, horizon) for v in _checked(F, tree)]
+    rows = [_j_row(v, tree, spec, horizon) for v in _checked(F, tree)]
     return _times(_floor(rows), N, spec, horizon)
 
 
 def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: int):
     """Each vertex's q-mass row and, on unrooted trees, its j-mass row (None
     on rooted ones): every value a report thresholds, read once."""
-    q_rows = {v: _row(_q_mass, v, tree, spec, horizon) for v in vertices}
+    q_rows = {v: _q_row(v, tree, spec, horizon) for v in vertices}
     if tree.rooted:
         return q_rows, None
-    return q_rows, {v: _row(_j_mass, v, tree, spec, horizon) for v in q_rows}
+    return q_rows, {v: _j_row(v, tree, spec, horizon) for v in q_rows}
 
 
 def _floors(verts, q_rows: dict, j_rows: Optional[dict]):
@@ -347,13 +360,7 @@ def _gamma_fiber_exceeds(v, n, lam, R, tree, spec) -> bool:
     """Scaled fiber display: the p*-mass of |lam|/|mu_u| over Chi^n(v),
     compared with R."""
     dual = spec.dual
-    return dual.power(lam) * _q_mass(v, n, tree, spec) > dual.threshold(R)
-
-
-def _gamma_spine_exceeds(v, n, lam, R, tree, spec) -> bool:
-    """Scaled spine display: the j quantity with the spine weight multiplied
-    by lam, compared with R."""
-    return _j_mass(v, n, tree, spec, lam=lam) > spec.dual.threshold(R)
+    return dual.power(lam) * fiber_mass(tree, v, n, spec)[1] > dual.threshold(R)
 
 
 @dataclass
@@ -449,28 +456,25 @@ def supercyclicity_report(
             leaf_witness=leaf,
         )
 
+    # the first (n, k) that reaches each rung in turn
     achieved = []
-    failed_rung = None
-    last_n = 0
-    for R in ladder:
-        hit = None
-        for n in range(last_n + 1, horizon + 1):
-            for k in range(horizon + 1):
-                lam = gamma.at(k)
-                if all(
-                    _gamma_fiber_exceeds(v, n, lam, R, tree, spec)
-                    and _gamma_spine_exceeds(v, n, lam, R, tree, spec)
-                    for v in sample_verts
-                ):
-                    hit = (R, n, k, lam)
-                    break
-            if hit:
-                break
-        if hit is None:
-            failed_rung = R
+    rungs = iter(ladder)
+    R = next(rungs, None)
+    for n in range(1, horizon + 1):
+        if R is None:
             break
-        achieved.append(hit)
-        last_n = hit[1]
+        spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
+        for k in range(horizon + 1):
+            lam = gamma.at(k)
+            if all(
+                _gamma_fiber_exceeds(v, n, lam, R, tree, spec)
+                and _j_term(*parts, spec, lam) > spec.dual.threshold(R)
+                for v, parts in zip(sample_verts, spine)
+            ):
+                achieved.append((R, n, k, lam))
+                R = next(rungs, None)
+                break
+    failed_rung = R
 
     return SupercyclicityReport(
         tree.name, spec.label, gamma.description, horizon,
@@ -537,7 +541,7 @@ class LimitPointReport:
     def csv_rows(self):
         rows = []
         for v in self.sample:
-            for n, m in enumerate(_row(_q_mass, v, self.tree, self.spec, self.horizon)):
+            for n, m in enumerate(_q_row(v, self.tree, self.spec, self.horizon)):
                 rows.append((format_address(v), n, _value(m, self.spec)))
         return rows
 
@@ -561,14 +565,14 @@ def limit_point_report(
     """
     sample_verts = _sample_vertices(sample, tree)
     found, vals, found_records = _diverging_vertex(
-        ((v, _row(_q_mass, v, tree, spec, horizon)) for v in sample_verts), spec
+        ((v, _q_row(v, tree, spec, horizon)) for v in sample_verts), spec
     )
     found_values = [vals[n] for n in found_records]
 
     root_div = shifted = decay = None
     status = "fails"
     if tree.rooted:
-        root_vals = [_value(m, spec) for m in _row(_q_mass, ANCHOR, tree, spec, horizon)]
+        root_vals = [_value(m, spec) for m in _q_row(ANCHOR, tree, spec, horizon)]
         root_div = bool(_diverging_records(root_vals))
         if found is not None:
             status = "holds"

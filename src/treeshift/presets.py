@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Union
 
 from .errors import UnknownPresetError
 from .spaces import SparseVector
-from .trees import ROOTED, UNROOTED, TreeModel, VertexAddress
+from .trees import ROOTED, UNROOTED, TreeModel, VertexAddress, VertexTypes
 
 MSequence = Union[str, Sequence[int], Callable[[int], int]]
 
@@ -53,32 +53,23 @@ def spine_vertex(k: int) -> VertexAddress:
     return VertexAddress(k)
 
 
+# every vertex of full_binary and unary_path has one type
+_ONE_TYPE = VertexTypes(type_of=lambda v: 0, child_type=lambda t, i: 0)
+# a vertex of example_7_2 or bi_infinite_path is typed by its signed depth
+_SIGNED_DEPTH = VertexTypes(type_of=lambda v: v.signed_depth, child_type=lambda d, i: d + 1)
+
+
 def full_binary() -> TreeModel:
-    """Rooted tree where every vertex has two children and weight 1, so all
-    vertices share one vertex type."""
-    return TreeModel(
-        ROOTED,
-        arity=lambda v: 2,
-        weight=lambda v: 1,
-        name="full_binary",
-        fiber_profile=lambda v, n: [(1, 2 ** n)],
-        uniform_arity=2,
-        vertex_type=lambda v: 0,
-    )
+    """Rooted tree where every vertex has two children and weight 1."""
+    return TreeModel(ROOTED, arity=lambda t: 2, weight=lambda t: 1, name="full_binary",
+                     types=_ONE_TYPE)
 
 
 def unary_path() -> TreeModel:
     """Rooted path 0 -> 1 -> 2 -> ... with weight 1 (the classical
-    non-hypercyclic unilateral backward shift); one vertex type."""
-    return TreeModel(
-        ROOTED,
-        arity=lambda v: 1,
-        weight=lambda v: 1,
-        name="unary_path",
-        fiber_profile=lambda v, n: [(1, 1)],
-        uniform_arity=1,
-        vertex_type=lambda v: 0,
-    )
+    non-hypercyclic unilateral backward shift)."""
+    return TreeModel(ROOTED, arity=lambda t: 1, weight=lambda t: 1, name="unary_path",
+                     types=_ONE_TYPE)
 
 
 def _block_exponent(k: int, m: Callable[[int], int]) -> int:
@@ -101,62 +92,36 @@ def example_4_1(m: MSequence = "pow2", exact: bool = False) -> TreeModel:
     """Rooted tree with two infinite chains under the root.
 
     Branch 1 carries the block-patterned weights mu_v and branch 0 their
-    reciprocals, so the two branches are never simultaneously small.
+    reciprocals, so the two branches are never simultaneously small.  A
+    vertex is typed "root" or by (branch, position in its chain).
     """
     rule = _m_rule(m)
 
-    def exponent(branch: int, k: int) -> int:
-        e = _block_exponent(k, rule)
-        return e if branch == 1 else -e
-
-    def weight(v: VertexAddress):
-        if not v.path:
+    def weight(t):
+        if t == "root":
             return 1
-        return _pow2(exponent(v.path[0], len(v.path)), exact)
+        branch, k = t
+        e = _block_exponent(k, rule)
+        return _pow2(e if branch == 1 else -e, exact)
 
-    def arity(v: VertexAddress) -> int:
-        return 2 if not v.path else 1
-
-    def profile(v: VertexAddress, n: int):
-        if not v.path:
-            if n == 0:
-                return [(1, 1)]
-            return [
-                (_pow2(exponent(0, n), exact), 1),
-                (_pow2(exponent(1, n), exact), 1),
-            ]
-        return [(_pow2(exponent(v.path[0], len(v.path) + n), exact), 1)]
-
-    return TreeModel(ROOTED, arity, weight, name="example_4_1", fiber_profile=profile)
+    types = VertexTypes(
+        type_of=lambda v: (v.path[0], len(v.path)) if v.path else "root",
+        child_type=lambda t, i: (i, 1) if t == "root" else (t[0], t[1] + 1),
+    )
+    return TreeModel(ROOTED, lambda t: 2 if t == "root" else 1, weight,
+                     name="example_4_1", types=types)
 
 
 def example_7_2(exact: bool = False) -> TreeModel:
     """Unrooted tree: an upward spine o_0 <- o_1 <- ... of weight 1 whose end
     vertex o_0 feeds two infinite chains u_k, v_k of weight 2^-k."""
-
-    def arity(v: VertexAddress) -> int:
-        return 2 if v == VertexAddress(0) else 1
-
-    def weight(v: VertexAddress):
-        if not v.path:
-            return 1
-        return _pow2(-len(v.path), exact)
-
-    def profile(v: VertexAddress, n: int):
-        if not v.path:
-            k = v.up
-            if n <= k:
-                return [(1, 1)]
-            return [(_pow2(-(n - k), exact), 2)]
-        return [(_pow2(-(len(v.path) + n), exact), 1)]
-
     return TreeModel(
         UNROOTED,
-        arity,
-        weight,
+        arity=lambda d: 2 if d == 0 else 1,
+        weight=lambda d: 1 if d <= 0 else _pow2(-d, exact),
         spine_child_index=lambda k: 0,
         name="example_7_2",
-        fiber_profile=profile,
+        types=_SIGNED_DEPTH,
     )
 
 
@@ -174,19 +139,13 @@ def example_7_2_vector(k_max: int = 7, exact: bool = False) -> SparseVector:
 def bi_infinite_path(weight_by_depth: Callable[[int], object] | None = None) -> TreeModel:
     """Unrooted two-sided path (a copy of the integers).  ``weight_by_depth``
     maps the signed depth below the anchor to the weight; default 1."""
-    w = weight_by_depth or (lambda d: 1)
-
-    def weight(v: VertexAddress):
-        return w(v.signed_depth)
-
     return TreeModel(
         UNROOTED,
-        arity=lambda v: 1,
-        weight=weight,
+        arity=lambda d: 1,
+        weight=weight_by_depth or (lambda d: 1),
         spine_child_index=lambda k: 0,
         name="bi_infinite_path",
-        fiber_profile=lambda v, n: [(w(v.signed_depth + n), 1)],
-        uniform_arity=1,
+        types=_SIGNED_DEPTH,
     )
 
 

@@ -24,10 +24,10 @@ from typing import IO, Iterator, Optional
 
 from .errors import InvalidAddressError
 from .trees import (
-    MEMO_SIZE,
     TreeModel,
     VertexAddress,
     _fiber_types,
+    _remember,
     chi_n,
     format_address,
     parse_address,
@@ -356,9 +356,8 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     """``(mass, combined)`` of the fiber Chi^n(v): ``spec.dual.mass`` of its
     weights (None for an empty fiber) and the ``combined`` terms that mass
     stands for (0 for an empty fiber).  ``v`` must be a checked VertexAddress.
-    The (weight, count) pairs come from the tree's closed-form fiber profile
-    when it has one, else from a sweep over its vertex types when it has
-    those, else from enumerating the fiber.
+    On a tree with vertex types the fiber is swept as (type, count) pairs
+    (`trees._fiber_types`); without them it is enumerated.
 
     Every fiber quantity reads this one mass: q(v, n) is the p*-th root of
     ``combined`` and the fiber's simplex infimum is the mass's ``infimum``.
@@ -368,21 +367,19 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     """
     dual = spec.dual
     key = (v, n, dual)
-    cache = tree.fiber_masses
     try:
-        return cache[key]
+        return tree.fiber_masses[key]
     except KeyError:
         pass
-    pairs = tree.fiber_profile(v, n) if tree.fiber_profile else None
-    if pairs is None and tree.vertex_type:
-        pairs = [(tree.weight(u), count) for u, count in _fiber_types(v, n, tree)]
-    if pairs is None:
-        pairs = [(tree.weight(u), 1) for u in chi_n(v, n, tree)]
+    if tree.types is None:
+        level = [(u, 1) for u in chi_n(v, n, tree)]
+    else:
+        level = _fiber_types(v, n, tree).items()
+    weight = tree.type_weight
+    pairs = [(weight(t), count) for t, count in level]
     mass = dual.mass(pairs) if pairs else None
     entry = (mass, 0 if mass is None else dual.combined(mass))
-    if len(cache) >= MEMO_SIZE:
-        cache.clear()
-    cache[key] = entry
+    _remember(tree.fiber_masses, key, entry)
     return entry
 
 
@@ -393,6 +390,8 @@ def dump_vector(f: SparseVector, fp: IO[str]) -> None:
 
 
 def load_vector(fp: IO[str]) -> SparseVector:
+    """Read `address<TAB>value` lines; blank lines and ``#`` comments are
+    skipped.  A malformed line raises InvalidAddressError naming it."""
     entries = {}
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
@@ -400,11 +399,11 @@ def load_vector(fp: IO[str]) -> SparseVector:
             continue
         try:
             addr_text, value_text = line.split("\t")
-        except ValueError:
+            entries[parse_address(addr_text)] = parse_scalar(value_text)
+        except (ValueError, ZeroDivisionError, InvalidAddressError) as exc:
             raise InvalidAddressError(
-                f"line {lineno}: expected 'address<TAB>value', got {line!r}"
+                f"line {lineno}: expected 'address<TAB>value', got {line!r} ({exc})"
             ) from None
-        entries[parse_address(addr_text)] = parse_scalar(value_text)
     return SparseVector(entries)
 
 

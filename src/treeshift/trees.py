@@ -10,6 +10,11 @@ An address is *canonical* when the first downward step after the up-steps does
 not immediately re-enter the spine vertex it came from; `canonicalize` reduces
 such detours.  All other operations expect canonical addresses.
 
+A tree may state its rules on vertex types (`VertexTypes`).  Fibers are then
+swept as (type, count) levels without building an address (`_fiber_types`),
+and the fibers below the n-fold parents p^n(v) follow the spine recurrence
+(`_spine_fiber`).
+
 Public functions check the addresses they are given.  Addresses the library
 generates itself (children, parents, fibers) are built with `tuple.__new__`
 and are not checked again.  `chi_n` builds a fiber level by level, which at a
@@ -19,16 +24,18 @@ fixed depth gives the depth-first order.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidAddressError, TreeSpecError
 
 ROOTED = "rooted"
 UNROOTED = "unrooted"
 
-_ADDRESS_RE = re.compile(r"^\(\s*(\d+)\s*;\s*([0-9. ]*)\)$")
+# (up; i1.i2...): an up count, then zero or more child indices joined by dots
+_ADDRESS_RE = re.compile(r"^\(\s*(\d+)\s*;\s*(\d+(?:\s*\.\s*\d+)*)?\s*\)$")
 
 
 class VertexAddress(NamedTuple):
@@ -61,10 +68,9 @@ def parse_address(text: str) -> VertexAddress:
     m = _ADDRESS_RE.match(text.strip())
     if not m:
         raise InvalidAddressError(f"cannot parse address {text!r}")
-    up = int(m.group(1))
-    body = m.group(2).strip()
+    body = m.group(2)
     path = tuple(int(part) for part in body.split(".")) if body else ()
-    return VertexAddress(up, path)
+    return VertexAddress(int(m.group(1)), path)
 
 
 @dataclass(frozen=True)
@@ -90,38 +96,43 @@ class EdgeData:
     kind: str = ROOTED
 
 
+class VertexTypes(NamedTuple):
+    """``type_of(v)``, the type of the vertex at an address (used only where
+    an address enters), and ``child_type(t, i)``, the type of the i-th child
+    of a vertex of type ``t``.  Vertices of one type have equal arity, weight
+    and child types, in order, so their subtrees are copies of each other.  A
+    type that is a `VertexAddress` stands for that vertex alone: its children
+    are the vertex's own, typed by ``type_of``, not by ``child_type``."""
+
+    type_of: Callable[[VertexAddress], Hashable]
+    child_type: Callable[[Hashable, int], Hashable]
+
+
 class TreeModel:
     """Immutable, lazily generated directed tree.
 
-    ``arity`` and ``weight`` are rules on canonical addresses; lookups are
-    memoised, and instances are safe to share across threads.  ``fiber_profile``
-    optionally gives a closed form for the weight multiset of ``Chi^n(v)`` as
-    ``[(weight, count), ...]`` so that criteria over exponentially growing
-    fibers stay cheap; it must agree with enumeration wherever both apply.
-
-    ``vertex_type`` optionally maps each vertex to a hashable key with one
-    contract: two vertices with equal keys have equal arity, equal weight, and
-    children whose keys are equal, in order.  Their subtrees are then copies
-    of each other, so fibers are swept one representative per key and level
-    (`spaces.fiber_mass`) and operator norms skip repeated subtrees.  Keying a
-    vertex by its own address always satisfies the contract.
-
-    ``fiber_masses`` and ``fiber_levels`` memoise what is derived from these
-    rules: fiber masses, and the last type level swept below each vertex.
+    ``arity`` and ``weight`` are rules on the vertex types of ``types``, or
+    without them on canonical addresses, each vertex being its own type.
+    ``tree.arity(v)`` and ``tree.weight(v)`` take addresses either way; they
+    and the rules on types (``type_weight``, ``child_types``) are memoised,
+    and instances are safe to share across threads.
+    ``fiber_masses``, ``fiber_levels`` and ``spine_levels`` memoise fiber
+    masses, the last level swept below each type, and the last step of the
+    spine recurrence from each vertex.
     """
+
+    fiber_profile = None  # read by perfbench/tracer.py, which wraps it when set
 
     def __init__(
         self,
         kind: str,
-        arity: Callable[[VertexAddress], int],
-        weight: Callable[[VertexAddress], object],
+        arity: Callable[[Hashable], int],
+        weight: Callable[[Hashable], object],
         spine_child_index: Optional[Callable[[int], int]] = None,
         *,
         name: str = "custom",
-        fiber_profile: Optional[Callable[[VertexAddress, int], Sequence[tuple]]] = None,
-        uniform_arity: Optional[int] = None,
         edge_data: Optional[EdgeData] = None,
-        vertex_type: Optional[Callable[[VertexAddress], Hashable]] = None,
+        types: Optional[VertexTypes] = None,
     ):
         if kind not in (ROOTED, UNROOTED):
             raise ValueError(f"kind must be {ROOTED!r} or {UNROOTED!r}, got {kind!r}")
@@ -129,39 +140,54 @@ class TreeModel:
             raise ValueError("unrooted trees need a spine_child_index rule")
         self.kind = kind
         self.name = name
-        self.uniform_arity = uniform_arity
-        # the valid child indices of a uniform-arity tree, for `check`
-        self._child_indices = frozenset(range(uniform_arity or 0))
-        self.fiber_profile = fiber_profile
         self.edge_data = edge_data
-        self.vertex_type = vertex_type
+        self.types = types
         self.fiber_masses: dict = {}
         self.fiber_levels: dict = {}
-        self._arity_rule = arity
-        self._weight_rule = weight
-        self._spine_rule = spine_child_index
-        self.arity = lru_cache(maxsize=MEMO_SIZE)(arity)
-        self.weight = lru_cache(maxsize=MEMO_SIZE)(weight)
+        self.spine_levels: dict = {}
         self.spine_child_index = (
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
         )
+        type_weight = self.type_weight = lru_cache(maxsize=MEMO_SIZE)(weight)
+        if types is None:
+            type_of = self.type_of = lambda v: v
+            self.arity, self.weight = lru_cache(maxsize=MEMO_SIZE)(arity), type_weight
+        else:
+            type_of = self.type_of = types.type_of
+            self.arity = lru_cache(maxsize=MEMO_SIZE)(lambda v: arity(type_of(v)))
+            self.weight = lru_cache(maxsize=MEMO_SIZE)(lambda v: type_weight(type_of(v)))
+        tree = weakref.ref(self)  # the memo must not keep the tree alive
+        child_type = None if types is None else types.child_type
+
+        def child_types(t) -> tuple:
+            """The types of the children of a vertex of type ``t``, in order."""
+            if isinstance(t, VertexAddress):  # a vertex that is its own type
+                return tuple(map(type_of, _children(t, tree())))
+            return tuple([child_type(t, i) for i in range(arity(t))])
+
+        self.child_types = lru_cache(maxsize=MEMO_SIZE)(child_types)
+        # A rooted tree whose anchor type is its own only child type has one
+        # arity: `check` then tests a path against the valid child indices.
+        self._child_indices = None
+        if types is not None and kind == ROOTED:
+            t = type_of(ANCHOR)
+            kids = self.child_types(t)
+            if kids and set(kids) == {t}:
+                self._child_indices = frozenset(range(len(kids)))
 
     @property
     def rooted(self) -> bool:
         return self.kind == ROOTED
 
-    def with_weight(self, weight, *, name=None, fiber_profile=None) -> "TreeModel":
-        """Same tree structure with a different weight rule.  The fiber profile
-        is dropped unless a matching one is supplied, and so is the vertex
-        type, whose keys promise equal weights."""
+    def with_weight(self, weight, *, name=None) -> "TreeModel":
+        """Same tree structure with a different weight rule on addresses, and
+        without the vertex types, whose contract promises equal weights."""
         return TreeModel(
             self.kind,
-            self._arity_rule,
+            self.arity,
             weight,
-            self._spine_rule,
+            self.spine_child_index,
             name=name or f"{self.name}-reweighted",
-            fiber_profile=fiber_profile,
-            uniform_arity=self.uniform_arity,
             edge_data=self.edge_data,
         )
 
@@ -176,15 +202,14 @@ class TreeModel:
             raise InvalidAddressError(
                 f"{format_address(v)} is reducible (re-enters the spine); canonicalize first"
             )
-        ua = self.uniform_arity
-        if ua is not None:
-            if self._child_indices.issuperset(path):  # one C-level scan
+        indices = self._child_indices
+        if indices is not None:
+            if indices.issuperset(path):  # one C-level scan
                 return
             for i in path:
-                if not 0 <= i < ua:
-                    raise InvalidAddressError(
-                        f"child index {i} out of range 0..{ua - 1} in {format_address(v)}"
-                    )
+                if not 0 <= i < len(indices):
+                    raise InvalidAddressError(f"child index {i} out of range "
+                                              f"0..{len(indices) - 1} in {format_address(v)}")
             return
         for d, i in enumerate(path):
             a = self.arity(VertexAddress(up, path[:d]))
@@ -268,53 +293,89 @@ def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
 
     The fiber is built one level at a time, each level the children of the
     previous one in order, which at a fixed depth is the depth-first order.
+    On a tree with vertex types each level carries its vertices' types, so
+    the child counts come from ``tree.child_types``, read once per type;
+    levels that hold a spine vertex go vertex by vertex.
     Errors are raised on the first ``next()``, before anything is yielded."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
     level = [VertexAddress(v[0], tuple(v[1]))]
     spine_levels = level[0].up if not level[0].path else 0
-    arity = tree.arity
+    typed = tree.types is not None
+    type_of, child_types = tree.type_of, tree.child_types
+    kinds = list(map(type_of, level))
     for k in range(n):
         if k < spine_levels:  # the level holds the spine vertex (up - k; )
             level = [c for w in level for c in _children(w, tree)]
+            kinds = list(map(type_of, level))
+            continue
+        if typed:
+            kids = list(map(child_types, kinds))
+            kinds = [c for ks in kids for c in ks]
+            counts = map(len, kids)
         else:
-            level = [
-                tuple.__new__(VertexAddress, (w[0], w[1] + (i,)))
-                for w in level
-                for i in range(arity(w))
-            ]
+            counts = map(tree.arity, level)
+        level = [
+            tuple.__new__(VertexAddress, (w[0], w[1] + (i,)))
+            for w, a in zip(level, counts)
+            for i in range(a)
+        ]
     yield from level
 
 
-def _fiber_types(v: VertexAddress, n: int, tree: TreeModel) -> list[tuple[VertexAddress, int]]:
-    """``[(representative, count), ...]``: one pair per vertex type in
-    Chi^n(v), on a tree with a ``vertex_type``; ``v`` must be checked.
-
-    The sweep goes level by level, expanding only each type's representative,
-    and resumes from the level it last reached below ``v`` (memoised in
-    ``tree.fiber_levels``) when that level is not below ``n``.  So a row
-    n = 0..H costs H levels.
-    """
-    key_of = tree.vertex_type
-    memo = tree.fiber_levels
-    last = memo.get(v)
-    if last is not None and last[0] <= n:
-        k, level = last
-    else:
-        k, level = 0, {key_of(v): (v, 1)}
-    while k < n:
-        below = {}
-        for rep, count in level.values():
-            for c in _children(rep, tree):
-                t = key_of(c)
-                seen = below.get(t)
-                below[t] = (c, count) if seen is None else (seen[0], seen[1] + count)
-        k, level = k + 1, below
+def _remember(memo: dict, key, value) -> None:
+    """``memo[key] = value``, clearing the memo first when it is full."""
     if len(memo) >= MEMO_SIZE:
         memo.clear()
-    memo[v] = (n, level)
-    return list(level.values())
+    memo[key] = value
+
+
+def _fiber_types(v: VertexAddress, n: int, tree: TreeModel) -> dict:
+    """``{type: count}`` of Chi^n(v), in the order of the types' first
+    vertices in the depth-first fiber; ``v`` must be checked.  The sweep goes
+    level by level over types, and resumes from the level last reached below
+    ``v`` (memoised in ``tree.fiber_levels``) when that is not below ``n``,
+    so a row n = 0..H costs H levels.  The result is the memo's own dict:
+    read it only."""
+    memo = tree.fiber_levels
+    last = memo.get(v)
+    k, level = last if last is not None and last[0] <= n else (0, {tree.type_of(v): 1})
+    child_types = tree.child_types
+    while k < n:
+        below = {}
+        get = below.get
+        for u, m in level.items():
+            for c in child_types(u):
+                below[c] = get(c, 0) + m
+        k, level = k + 1, below
+    _remember(memo, v, (n, level))
+    return level
+
+
+def _spine_fiber(v: VertexAddress, n: int, tree: TreeModel) -> tuple[VertexAddress, dict]:
+    """``(p^n v, {type: count} of Chi^n(p^n v))`` on an unrooted tree; ``v``
+    must be checked.  By the spine recurrence, Chi^(k+1)(p^(k+1) v) is
+    Chi^k(p^k v) with Chi^k(c) for each sibling c of p^k v; merged in child
+    order, the types come in the order of a fresh `_fiber_types` sweep.  Each
+    step sweeps only the siblings, and the recurrence resumes from the last
+    step reached for ``v`` (memoised in ``tree.spine_levels``) when that is
+    not past ``n``.  The level is the memo's own dict: read it only."""
+    memo = tree.spine_levels
+    last = memo.get(v)
+    k, s, level = last if last is not None and last[0] <= n else (0, v, {tree.type_of(v): 1})
+    while k < n:
+        p = _p_n(s, 1, tree)
+        merged = {}
+        get = merged.get
+        for c in _children(p, tree):
+            below = level if c == s else _fiber_types(c, k, tree)
+            for t, m in below.items():
+                merged[t] = get(t, 0) + m
+        k, s, level = k + 1, p, merged
+    _remember(memo, v, (n, s, level))
+    _remember(tree.fiber_levels, s, (n, level))  # as a sweep below p^n v would
+    return s, level
 
 
 def enumerate_truncation(tree: TreeModel, trunc: Truncation) -> Iterator[VertexAddress]:
@@ -327,13 +388,13 @@ def enumerate_truncation(tree: TreeModel, trunc: Truncation) -> Iterator[VertexA
 
 def enumerate_distinct_subtrees(tree: TreeModel, trunc: Truncation) -> Iterator[VertexAddress]:
     """`enumerate_truncation` in the same depth-first order, except that the
-    subtree below a vertex is skipped when a vertex of the same
-    ``vertex_type`` at the same remaining depth was yielded before it.  Such a
-    subtree repeats the walked one vertex for vertex, so a quantity computed
-    from each vertex's rules takes no value on it that the walk has not met
-    already.  Trees without a ``vertex_type`` yield every vertex.
+    subtree below a vertex is skipped when a vertex of the same type at the
+    same remaining depth was yielded before it.  Such a subtree repeats the
+    walked one vertex for vertex, so a quantity computed from each vertex's
+    rules takes no value on it that the walk has not met already.  Trees
+    without vertex types yield every vertex.
     """
-    yield from _preorder(tree, trunc, tree.vertex_type)
+    yield from _preorder(tree, trunc, None if tree.types is None else tree.type_of)
 
 
 def _preorder(tree: TreeModel, trunc: Truncation, key_of) -> Iterator[VertexAddress]:

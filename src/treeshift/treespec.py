@@ -37,17 +37,16 @@ explicit finite edge list, or custom arity/weight rules:
     depth = 16
     ancestry = 16
 
-Custom rule-backed trees get a derived ``vertex_type`` (see `TreeModel`), so
-their fibers are swept by type rather than enumerated.  A vertex's key is its
-``signed_depth``, because off the overrides both rules depend on nothing
-else.  Two kinds of vertex are keyed by their own address instead: every
-ancestor-or-self of an arity or weight override address (its subtree differs
-from the others at its depth), and on unrooted trees every spine vertex above
-the anchor (its children are arranged by the spine rule, which reports an
-out-of-range spine child index).  Keying a vertex by its address is always
-valid, so an override address that is not canonical only marks vertices
-needlessly.  Presets keep their own keys (or none), and edge-list trees have
-none.
+Custom rule-backed trees get vertex types (`trees.VertexTypes`) derived from
+their rules: a vertex's type is its ``signed_depth`` and a child's is one
+deeper, since off the overrides both rules depend on the depth alone.  Every
+ancestor-or-self of an override address, and on unrooted trees every spine
+vertex above the anchor (its children follow the spine rule, which reports an
+out-of-range spine child index), is its own type instead; the parent of such
+a vertex is one too, so depth-typed vertices have depth-typed children.  An
+override address that is not canonical only marks vertices needlessly.
+Malformed counts and scalars, and negative child counts, raise
+`TreeSpecError`.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from .trees import (
     TreeModel,
     Truncation,
     VertexAddress,
+    VertexTypes,
     parse_address,
     tree_from_edge_data,
 )
@@ -139,10 +139,7 @@ def _build_preset(preset: str, tree_section: dict) -> TreeModel:
         if m_text == "pow2":
             params["m"] = "pow2"
         else:
-            try:
-                params["m"] = [int(x) for x in m_text.split(",")]
-            except ValueError:
-                raise TreeSpecError(f"bad m-sequence {m_text!r}") from None
+            params["m"] = _parsed(lambda t: [int(x) for x in t.split(",")], m_text, "m-sequence")
     return make_preset(preset, **params)
 
 
@@ -153,6 +150,21 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise TreeSpecError(f"bad boolean {text!r}")
+
+
+def _parsed(parse, text: str, what: str):
+    """``parse(text)``, or TreeSpecError naming ``what`` when it fails."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise TreeSpecError(f"bad {what} {text!r}") from None
+
+
+def _child_count(text: str, what: str) -> int:
+    count = _parsed(int, text, what)
+    if count < 0:
+        raise TreeSpecError(f"bad {what} {text!r}: child counts are nonnegative")
+    return count
 
 
 def _build_edge_data(parser: configparser.ConfigParser, tree_section: dict) -> EdgeData:
@@ -170,7 +182,7 @@ def _build_edge_data(parser: configparser.ConfigParser, tree_section: dict) -> E
             raise TreeSpecError(f"bad edge line {text!r}")
         edges.append((left, right))
     weights = {
-        label: parse_scalar(value)
+        label: _parsed(parse_scalar, value, f"weight of {label}")
         for label, value in _read(parser, "edge_weights").items()
     }
     return EdgeData(tuple(edges), weights, anchor, kind)
@@ -195,45 +207,47 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
 
     arity_section = _read(parser, "arity")
     plain, arity_table = _split_rules(arity_section, {"default", "by_level"})
-    default_arity = int(plain.get("default", 0))
+    default_arity = _child_count(plain.get("default", "0"), "default arity")
     by_level = None
     if "by_level" in plain:
-        by_level = [int(x) for x in plain["by_level"].split(",")]
-        if not by_level:
-            raise TreeSpecError("by_level must list at least one count")
-    arity_overrides = {addr: int(v) for addr, v in arity_table.items()}
+        by_level = [_child_count(x, "by_level arity") for x in plain["by_level"].split(",")]
+    arity_overrides = {
+        addr: _child_count(v, f"arity at {addr}") for addr, v in arity_table.items()
+    }
 
-    def arity(v: VertexAddress) -> int:
-        if v in arity_overrides:
-            return arity_overrides[v]
-        d = v.signed_depth
+    weights_section = _read(parser, "weights")
+    plain, weight_table = _split_rules(weights_section, {"default", "coef", "ratio"})
+    weight_overrides = {
+        addr: _parsed(parse_scalar, v, f"weight at {addr}") for addr, v in weight_table.items()
+    }
+    ratio = _parsed(parse_scalar, plain["ratio"], "ratio") if "ratio" in plain else None
+    coef = _parsed(parse_scalar, plain.get("coef", "1"), "coef")
+    default_weight = _parsed(parse_scalar, plain.get("default", "1"), "default weight")
+    if ratio is not None and "default" in plain:
+        raise TreeSpecError("give either a constant default weight or coef/ratio")
+
+    def depth(t) -> int:
+        return t.signed_depth if isinstance(t, VertexAddress) else t
+
+    def arity(t) -> int:
+        if t in arity_overrides:
+            return arity_overrides[t]
+        d = depth(t)
         if by_level is not None and d >= 0:
             return by_level[min(d, len(by_level) - 1)]
         return default_arity
 
-    weights_section = _read(parser, "weights")
-    plain, weight_table = _split_rules(weights_section, {"default", "coef", "ratio"})
-    weight_overrides = {addr: parse_scalar(v) for addr, v in weight_table.items()}
-    ratio = parse_scalar(plain["ratio"]) if "ratio" in plain else None
-    coef = parse_scalar(plain.get("coef", "1"))
-    default_weight = parse_scalar(plain.get("default", "1"))
-    if ratio is not None and "default" in plain:
-        raise TreeSpecError("give either a constant default weight or coef/ratio")
-
-    def weight(v: VertexAddress):
-        if v in weight_overrides:
-            return weight_overrides[v]
+    def weight(t):
+        if t in weight_overrides:
+            return weight_overrides[t]
         if ratio is not None:
-            return coef * ratio ** v.signed_depth
+            return coef * ratio ** depth(t)
         return default_weight
 
     spine_rule = None
     if kind == UNROOTED:
         spine_section = _read(parser, "spine")
-        try:
-            idx = int(spine_section.get("child_index", 0))
-        except ValueError:
-            raise TreeSpecError("spine child_index must be an integer") from None
+        idx = _parsed(int, spine_section.get("child_index", "0"), "spine child_index")
         spine_rule = lambda k: idx
 
     marked = {
@@ -242,9 +256,10 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
         for i in range(len(a.path) + 1)
     }
 
-    def vertex_type(v: VertexAddress):
+    def type_of(v: VertexAddress):
         if v in marked or (v.up and not v.path):
             return v
         return v.signed_depth
 
-    return TreeModel(kind, arity, weight, spine_rule, name="custom", vertex_type=vertex_type)
+    types = VertexTypes(type_of, child_type=lambda d, i: d + 1)
+    return TreeModel(kind, arity, weight, spine_rule, name="custom", types=types)

@@ -69,3 +69,43 @@ def random_sparse_vector(
         v = random_vertex(rng, tree, max_up, max_down)
         entries[v] = rng.uniform(-scale, scale)
     return ts.SparseVector(entries)
+
+
+SPACES = [ts.SpaceSpec.ell(1), ts.SpaceSpec.ell(2), ts.SpaceSpec.ell("4/3"), ts.SpaceSpec.c_zero()]
+
+
+def outcome(f):
+    """f() or, when the tree is malformed there, the type of the error."""
+    try:
+        return f()
+    except ts.InvalidAddressError as exc:
+        return type(exc)
+
+
+def assert_sweep_equals_enumeration(tree: ts.TreeModel, verts, depths=range(11)):
+    """`fiber_mass` swept by vertex type equals, exactly, `fiber_mass`
+    enumerated on the type-free `with_weight` copy, which it returns."""
+    plain = tree.with_weight(tree.weight)
+    assert tree.types is not None and plain.types is None
+    for spec in SPACES:
+        for v in verts:
+            for n in depths:
+                got = outcome(lambda: ts.fiber_mass(tree, v, n, spec))
+                assert got == outcome(lambda: ts.fiber_mass(plain, v, n, spec)), (v, n, spec)
+    return plain
+
+
+def assert_type_contract(tree: ts.TreeModel, trunc=ts.Truncation(4, 2)) -> None:
+    """Vertices with equal types have equal arity, weight and child types,
+    and the type rule gives the types of a vertex's children in order."""
+    try:
+        verts = list(ts.enumerate_truncation(tree, trunc))
+    except ts.InvalidAddressError:  # a spine vertex breaks the spine rule
+        verts = list(ts.enumerate_truncation(tree, ts.Truncation(trunc.depth, 0)))
+    signatures = {}
+    for v in verts:
+        t = tree.type_of(v)
+        kids = outcome(lambda: tuple(map(tree.type_of, ts.children(v, tree))))
+        assert outcome(lambda: tree.child_types(t)) == kids, v
+        sig = (tree.arity(v), tree.weight(v), kids)
+        assert signatures.setdefault(t, sig) == sig, v

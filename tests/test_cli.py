@@ -187,3 +187,38 @@ def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):
     assert [int(n) for _, n, _, _ in root] == list(range(65))
     for _, n, q, _ in root:
         assert float(q) == pytest.approx(2 ** (int(n) / 2), rel=1e-11)
+
+
+_CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
+
+
+@pytest.mark.parametrize("command, kind, text", [
+    pytest.param("orbit", "vector", "(0; 1..2)\t1\n", id="address-empty-index"),
+    pytest.param("orbit", "vector", "(0; .)\t1\n", id="address-dot-only"),
+    pytest.param("orbit", "vector", "(0; 1.)\t1\n", id="address-trailing-dot"),
+    pytest.param("orbit", "vector", "(0; 1 2)\t1\n", id="address-space-separated"),
+    pytest.param("orbit", "vector", "(0; 1..0)\t1\n", id="vector-bad-address"),
+    pytest.param("orbit", "vector", "(0; 1)\tzz\n", id="vector-bad-value"),
+    pytest.param("validate", "tree", _CUSTOM + "default = 1\n(0; 1..0) = 3\n",
+                 id="spec-bad-override-key"),
+    pytest.param("validate", "tree", _CUSTOM + "default = x\n", id="spec-bad-arity"),
+    pytest.param("validate", "tree", _CUSTOM + "default = 1\n[weights]\ndefault = abc\n",
+                 id="spec-bad-weight"),
+    pytest.param("criteria", "tree", _CUSTOM + "default = -1\n", id="spec-negative-arity"),
+])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, kind, text):
+    """Malformed addresses, counts and scalars exit 2 with one error line,
+    and an address that does not parse raises InvalidAddressError."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    if kind == "vector":
+        argv = [command, "--preset", "full_binary", "--vector", str(path)]
+        address = text.split("\t")[0]
+        if address != "(0; 1)":
+            with pytest.raises(ts.InvalidAddressError):
+                ts.parse_address(address)
+    else:
+        argv = [command, "--tree", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,6 +1,7 @@
 """Tree structure, addressing, navigation and validation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift.presets import chain_vertex, spine_vertex
+
+from conftest import assert_sweep_equals_enumeration, assert_type_contract
 
 
 def test_address_text_round_trip():
@@ -38,7 +41,6 @@ def test_canonicalize_keeps_non_spine_steps():
         arity=lambda v: 2,
         weight=lambda v: 1,
         spine_child_index=lambda k: 0,
-        uniform_arity=2,
     )
     # stepping down away from the spine is already canonical
     assert ts.canonicalize(VA(1, (1,)), bushy) == VA(1, (1,))
@@ -267,29 +269,37 @@ def test_rooted_truncation_is_union_of_fibers(binary):
     assert from_enum == from_fibers
 
 
+_VARIANTS = {
+    "full_binary": [ts.full_binary],
+    "unary_path": [ts.unary_path],
+    "example_4_1": [ts.example_4_1, lambda: ts.example_4_1(exact=True)],
+    "example_7_2": [ts.example_7_2, lambda: ts.example_7_2(exact=True)],
+    "bi_infinite_path": [
+        ts.bi_infinite_path,
+        lambda: ts.bi_infinite_path(lambda d: 2.0 ** -d),
+        lambda: ts.bi_infinite_path(lambda d: Fraction(2) ** -d),
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "name", ["full_binary", "unary_path", "example_4_1", "example_7_2", "bi_infinite_path"]
 )
 def test_fiber_profile_matches_enumeration(name):
-    tree = ts.make_preset(name)
-    rng = random.Random(7)
-    verts = [VA(0)]
-    for _ in range(6):
-        up = rng.randint(0, 3) if tree.kind == ts.UNROOTED else 0
-        v = VA(up)
-        for _ in range(rng.randint(0, 3)):
-            kids = ts.children(v, tree)
-            if not kids:
-                break
-            v = rng.choice(kids)
-        verts.append(v)
-    for v in verts:
-        for n in range(0, 8):
-            profile = tree.fiber_profile(v, n)
-            expanded = sorted(
-                float(w) for w, count in profile for _ in range(count)
-            )
-            enumerated = sorted(
-                float(tree.weight(u)) for u in ts.chi_n(v, n, tree)
-            )
-            assert expanded == enumerated, (v, n)
+    """The presets' fiber masses, swept by type, equal enumeration (float and
+    exact), and the presets keep the type contract."""
+    for make in _VARIANTS[name]:
+        tree = make()
+        rng = random.Random(7)
+        verts = [VA(0)]
+        for _ in range(6):
+            up = rng.randint(0, 3) if tree.kind == ts.UNROOTED else 0
+            v = VA(up)
+            for _ in range(rng.randint(0, 3)):
+                kids = ts.children(v, tree)
+                if not kids:
+                    break
+                v = rng.choice(kids)
+            verts.append(v)
+        assert_sweep_equals_enumeration(tree, verts)
+        assert_type_contract(tree)

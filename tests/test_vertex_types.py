@@ -1,8 +1,12 @@
-"""Vertex types: fiber masses swept by type and operator norms walked by type
-must equal the vertex-by-vertex results on a type-free copy of the tree.  The
-level-wise `chi_n` must equal a depth-first walk on the same generated trees."""
+"""Vertex types: fiber masses swept by type, j rows built by the spine
+recurrence and operator norms walked by type must equal the vertex-by-vertex
+results on a type-free copy of the tree.  The level-wise `chi_n` must equal a
+depth-first walk on the same generated trees."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +14,11 @@ from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
+from treeshift import criteria
+from treeshift.trees import _fiber_types, _spine_fiber
 from treeshift.treespec import parse_tree_spec
 
-SPACES = [ts.SpaceSpec.ell(1), ts.SpaceSpec.ell(2), ts.SpaceSpec.ell("4/3"), ts.SpaceSpec.c_zero()]
+from conftest import SPACES, assert_sweep_equals_enumeration, assert_type_contract, outcome
 _WEIGHTS = st.sampled_from(["1", "1/2", "2/1", "3/2", "-2/3", "5/4"])
 
 
@@ -23,11 +29,12 @@ def _address(draw, unrooted: bool) -> str:
 
 
 @st.composite
-def spec_documents(draw) -> str:
+def spec_documents(draw, unrooted=None) -> str:
     """Rooted or unrooted tree-spec documents with `default` or `by_level`
     arity, constant or geometric Fraction weights and 0-4 overrides.  The
     spine child index may be out of range for the spine's arity."""
-    unrooted = draw(st.booleans())
+    if unrooted is None:
+        unrooted = draw(st.booleans())
     arity = ["[arity]"]
     if draw(st.booleans()):
         levels = draw(st.lists(st.integers(0, 3), max_size=3)) + [draw(st.integers(0, 2))]
@@ -73,16 +80,8 @@ def _vertices(draw, tree: ts.TreeModel) -> list:
     return verts
 
 
-def _outcome(f):
-    """f() or, when the tree is malformed there, the type of the error."""
-    try:
-        return f()
-    except ts.InvalidAddressError as exc:
-        return type(exc)
-
-
 def _norm_outcome(spec, tree, trunc):
-    r = _outcome(lambda: ts.operator_norm(spec, tree, trunc))
+    r = outcome(lambda: ts.operator_norm(spec, tree, trunc))
     if isinstance(r, type):
         return r
     return r.value, r.powered, r.argmax, r.is_sup_over_truncation
@@ -92,48 +91,103 @@ def _norm_outcome(spec, tree, trunc):
 @settings(max_examples=80, deadline=None)
 def test_type_sweep_and_walk_equal_enumeration(data):
     tree = parse_tree_spec(data.draw(spec_documents())).source
-    plain = tree.with_weight(tree.weight)
-    assert tree.vertex_type is not None and plain.vertex_type is None
     verts = _vertices(data.draw, tree)
-    for spec in SPACES:
-        for v in verts:
-            for n in range(11):
-                got = _outcome(lambda: ts.fiber_mass(tree, v, n, spec))
-                assert got == _outcome(lambda: ts.fiber_mass(plain, v, n, spec)), (v, n, spec)
+    plain = assert_sweep_equals_enumeration(tree, verts)
     tree.fiber_masses.clear()  # n below the swept level: the sweep restarts
     for v in verts:
-        got = _outcome(lambda: ts.fiber_mass(tree, v, 3, SPACES[1]))
-        assert got == _outcome(lambda: ts.fiber_mass(plain, v, 3, SPACES[1]))
+        got = outcome(lambda: ts.fiber_mass(tree, v, 3, SPACES[1]))
+        assert got == outcome(lambda: ts.fiber_mass(plain, v, 3, SPACES[1]))
 
     trunc = ts.Truncation(data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3)))
     for spec in SPACES:
         assert _norm_outcome(spec, tree, trunc) == _norm_outcome(spec, plain, trunc)
 
-    _assert_type_contract(tree)
-
-
-def _assert_type_contract(tree: ts.TreeModel, trunc=ts.Truncation(4, 2)) -> None:
-    """Vertices with equal keys have equal arity, weight and child keys."""
-    try:
-        verts = list(ts.enumerate_truncation(tree, trunc))
-    except ts.InvalidAddressError:  # a spine vertex breaks the spine rule
-        verts = list(ts.enumerate_truncation(tree, ts.Truncation(trunc.depth, 0)))
-    signatures = {}
-    for v in verts:
-        kids = _outcome(lambda: tuple(tree.vertex_type(c) for c in ts.children(v, tree)))
-        sig = (tree.arity(v), tree.weight(v), kids)
-        assert signatures.setdefault(tree.vertex_type(v), sig) == sig, v
+    assert_type_contract(tree)
 
 
 @pytest.mark.parametrize("name", ["full_binary", "unary_path"])
 def test_uniform_presets_walk_by_type(name):
     tree = ts.make_preset(name)
     plain = tree.with_weight(tree.weight)
-    _assert_type_contract(tree)
+    assert_type_contract(tree)
     for depth in range(9):
         trunc = ts.Truncation(depth, 0)
         for spec in SPACES:
             assert _norm_outcome(spec, tree, trunc) == _norm_outcome(spec, plain, trunc)
+
+
+def _j_reference(v, n: int, plain: ts.TreeModel, spec) -> object:
+    """j(v, n) in the scale of thresholds, from the enumerated fiber of
+    p^n(v) on a tree without vertex types."""
+    s = ts.p_n(v, n, plain)
+    dual = spec.dual
+    return dual.combine((1 / dual.power(plain.weight(s)), ts.fiber_mass(plain, s, n, spec)[1]))
+
+
+def _assert_spine_recurrence(tree: ts.TreeModel, verts, horizon: int = 10) -> None:
+    """The j rows built by the spine recurrence equal the per-n j masses of
+    the type-free copy, and each recurrence level lists the types of a fresh
+    sweep below p^n(v), in the same order with the same counts, also when
+    the recurrence restarts below the step it reached."""
+    plain = tree.with_weight(tree.weight)
+    for v in verts:
+        levels = outcome(lambda: [
+            list(_spine_fiber(v, n, tree)[1].items()) for n in range(horizon + 1)
+        ])
+        if not isinstance(levels, type):
+            for n, items in enumerate(levels):
+                tree.fiber_levels.clear()  # a fresh sweep, not the recurrence's level
+                fresh = _fiber_types(ts.p_n(v, n, tree), n, tree)
+                assert items == list(fresh.items()), (v, n)
+            assert list(_spine_fiber(v, 3, tree)[1].items()) == levels[3]
+        for spec in SPACES:
+            want = outcome(lambda: [_j_reference(v, n, plain, spec) for n in range(horizon + 1)])
+            got = outcome(lambda: criteria._j_row(v, tree, spec, horizon))
+            assert _masses_match(got, want), (v, spec)
+            if not isinstance(want, type):
+                jv = ts.j_value(v, horizon, tree, spec)
+                assert _masses_match([jv], [ts.j_value(v, horizon, plain, spec)])
+
+
+def _masses_match(got, want) -> bool:
+    """Equal, except that float masses may differ by the rounding of their
+    sums: enumeration adds 1/|w|^r once per vertex, the sweep count/|w|^r
+    once per type.  (An integer ``ratio`` gives float weights above the
+    anchor, 1 ** -1 being 1.0.)"""
+    if isinstance(got, type) or isinstance(want, type) or len(got) != len(want):
+        return got == want
+    return all(math.isclose(g, w, rel_tol=1e-12) if isinstance(w, float) else g == w
+               for g, w in zip(got, want))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_spine_recurrence_equals_per_n_j_masses(data):
+    tree = parse_tree_spec(data.draw(spec_documents(unrooted=True))).source
+    _assert_spine_recurrence(tree, _vertices(data.draw, tree))
+
+
+@pytest.mark.parametrize("make", [
+    ts.example_7_2,
+    lambda: ts.example_7_2(exact=True),
+    ts.bi_infinite_path,
+    lambda: ts.bi_infinite_path(lambda d: 2.0 ** -d),
+    lambda: ts.bi_infinite_path(lambda d: Fraction(2) ** -d),
+], ids=["example_7_2", "example_7_2-exact", "bi_infinite_path", "bi_infinite_path-float",
+        "bi_infinite_path-exact"])
+def test_spine_recurrence_on_unrooted_presets(make):
+    tree = make()
+    verts = [VA(0), VA(1), VA(3), *ts.chi_n(VA(0), 1, tree), *ts.chi_n(VA(0), 3, tree)]
+    _assert_spine_recurrence(tree, verts)
+
+
+def test_chi_n_reads_the_arity_rule_once_per_type():
+    calls = []
+    tree = ts.TreeModel(ts.ROOTED, arity=lambda t: calls.append(t) or 2, weight=lambda t: 1,
+                        types=ts.VertexTypes(type_of=lambda v: 0, child_type=lambda t, i: 0))
+    assert list(ts.chi_n(VA(0), 12, tree)) == list(ts.chi_n(VA(0), 12, ts.full_binary()))
+    assert calls == [0]
+    assert tree.arity.cache_info().misses == 0
 
 
 def test_derived_keys():
@@ -148,7 +202,7 @@ child_index = 1
 [weights]
 (0; 1) = 1/2
 """
-    key = parse_tree_spec(doc).source.vertex_type
+    key = parse_tree_spec(doc).source.type_of
     # ancestors-or-self of an override, and spine vertices, are keyed by address
     for v in (VA(1, (0, 1)), VA(1, (0,)), VA(0, (1,)), VA(0), VA(1), VA(2)):
         assert key(v) == v
