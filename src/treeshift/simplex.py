@@ -7,6 +7,14 @@ weights; the minimiser spreads mass proportionally to 1/|mu_j|^p*, or, for
 l^1 (p* = inf), concentrates on an argmin.  These minimisers power the right
 inverses S_n of B^n, the approximate-kernel maps I_n on unrooted trees, and
 the synthesis of vectors whose orbit keeps returning to e_root.
+
+For p > 1 and c0 the minimiser's coefficient at a vertex depends on its
+weight alone, so on a tree with vertex types `build_Sn` computes it once per
+type.  B only sums over children, so B^m of a vector that is constant per
+type is again constant per type, one level up: the synthesis computes its
+term norms and residual certificates per (level, type), bit-identical to
+evaluating the materialised vectors, which it still returns.  In l^1 and on
+trees without types the certificates are evaluated on those vectors.
 """
 
 from __future__ import annotations
@@ -15,8 +23,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
+from . import shifts
 from .errors import (
     CriterionTooWeakError,
     EmptyFiberError,
@@ -33,7 +44,7 @@ from .spaces import (
     fiber_mass,
     to_float,
 )
-from .trees import ANCHOR, TreeModel, Truncation, VertexAddress, chi_n, p_n
+from .trees import ANCHOR, TreeModel, Truncation, VertexAddress, _typed_fiber, chi_n, p_n
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,16 @@ def simplex_optimizer(inst: SimplexInstance, delta: float = 1e-9) -> list:
         m = simplex_inf(inst)
         idx = next(i for i, w in enumerate(ws) if abs(w) <= m + delta)
         return [1 if i == idx else 0 for i in range(len(ws))]
-    keys = list(zip(map(type, ws), ws))  # 1, 1.0 and Fraction(1) power differently
-    inverse = {key: 1 / dual.power(key[1]) for key in dict.fromkeys(keys)}
-    inv = [inverse[key] for key in keys]
+    inv = _inverses(ws, dual)
     total = sum(inv)
     return [x / total for x in inv]
+
+
+def _inverses(ws, dual: DualExponent) -> list:
+    """1/|w|^p* for each weight, computed once per distinct (type(w), w)."""
+    keys = list(zip(map(type, ws), ws))  # 1, 1.0 and Fraction(1) power differently
+    inverse = {key: 1 / dual.power(key[1]) for key in dict.fromkeys(keys)}
+    return list(map(inverse.__getitem__, keys))
 
 
 def build_Sn(
@@ -96,17 +112,50 @@ def build_Sn(
     simplex infimum of the fiber weights.
 
     For l^1 the mass concentrates on one near-minimal weight; the fiber is
-    sorted so ties break toward the lowest canonical address."""
-    fiber = list(chi_n(v, n, tree))
+    sorted so ties break toward the lowest canonical address.  Otherwise the
+    coefficient of a vertex depends on its weight alone, so it is computed
+    once per vertex type."""
+    return _right_inverse(v, n, tree, spec, delta)[0]
+
+
+def _right_inverse(v, n: int, tree: TreeModel, spec: SpaceSpec, delta=None):
+    """``build_Sn`` and its description: the fiber's types in depth-first
+    order and the nonzero coefficient of each type.  The description is None
+    for l^1, where the vector has one entry, and on a tree without vertex
+    types, where each vertex would be its own type."""
+    fiber, kinds = _typed_fiber(v, n, tree)
     if not fiber:
         raise EmptyFiberError(f"Chi^{n}({v}) is empty")
-    if spec.dual.is_max:
-        fiber.sort()
-    weights = tuple(map(tree.weight, fiber))
     if delta is None:
         delta = (2.0 ** -n) * 1e-3
-    x = simplex_optimizer(SimplexInstance(weights, spec), delta)
-    return _vector({u: xi for u, xi in zip(fiber, x) if xi != 0})
+    dual = spec.dual
+    if dual.is_max or tree.types is None:
+        if dual.is_max:
+            fiber = sorted(fiber)
+        x = simplex_optimizer(SimplexInstance(tuple(map(tree.weight, fiber)), spec), delta)
+        return _vector({u: xi for u, xi in zip(fiber, x) if xi != 0}), None
+    types = list(dict.fromkeys(kinds))
+    weights = list(map(tree.type_weight, types))
+    if 0 in weights:
+        raise ValueError("simplex weights must be nonzero")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    # the simplex_optimizer minimiser, one coefficient per type; the total
+    # still takes one term per vertex, in fiber order
+    inv = dict(zip(types, _inverses(weights, dual)))
+    total = sum(map(inv.__getitem__, kinds))
+    coef = {k: x / total for k, x in inv.items()}
+    if 0 in coef.values():  # an underflowed coefficient, dropped like any zero
+        coef = {k: x for k, x in coef.items() if x != 0}
+        g = _vector({u: coef[k] for u, k in zip(fiber, kinds) if k in coef})
+    else:
+        g = _vector(dict(zip(fiber, map(coef.__getitem__, kinds))))
+    return g, (kinds, coef)
+
+
+def _along(values: dict, kinds):
+    """The values of ``kinds`` in their order, skipping kinds without one."""
+    return filter(partial(operator.is_not, None), map(values.get, kinds))
 
 
 @dataclass(frozen=True)
@@ -239,16 +288,23 @@ def build_recurrent_vector(
     b_j / c_j, where c_j majorises the operator-norm growth of the earlier
     steps.  Because c_j comes from a truncation (a lower bound on infinite
     trees), every certificate re-verifies its residual by direct evaluation.
+
+    The vector and the terms' g_j are materialised `SparseVector`s.  On a
+    tree with vertex types and for p > 1 or c0, the term norms and residuals
+    are computed per (level, type) (`_typed_residuals`), with the sums and
+    order of evaluating B^(n_j) f - e_root entry by entry.  In l^1, where
+    each g_j is one basis vector, and on trees without types, they are
+    evaluated on the materialised vectors.
     """
     if not tree.rooted:
         raise RootedTreeError("recurrent-vector synthesis is the rooted construction")
     budget = budget or TailBudget()
-    from .shifts import _apply_B_pow, operator_norm
 
     dual = spec.dual
-    opn_result = operator_norm(spec, tree, trunc)
+    opn_result = shifts.operator_norm(spec, tree, trunc)
     opn = opn_result.value
     retained: list[RecurrentTerm] = []
+    described: list = []  # the description of each retained g, or None
     skipped: list[tuple[int, float, float]] = []
     prev = -1
     for n in seq:
@@ -268,10 +324,13 @@ def build_recurrent_vector(
             inf_n = math.inf if mass is None else to_float(dual.infimum(mass))
             skipped.append((n, inf_n, allowance))
             continue
-        g = build_Sn(ANCHOR, n, tree, spec)
-        retained.append(
-            RecurrentTerm(j, n, g, to_float(_norm(g, spec, tree)), c, allowance)
-        )
+        g, description = _right_inverse(ANCHOR, n, tree, spec)
+        if description is None:
+            g_norm = _norm(g, spec, tree)
+        else:
+            g_norm = _typed_norm([_typed_terms(*description, tree, spec)], spec)
+        retained.append(RecurrentTerm(j, n, g, to_float(g_norm), c, allowance))
+        described.append(description)
     if not retained:
         raise CriterionTooWeakError(
             f"no candidate power met its budget at truncation {trunc}"
@@ -282,11 +341,17 @@ def build_recurrent_vector(
         merged.update(t.g.items())
     f = _vector(merged)
 
-    e_root = basis(ANCHOR)
+    if None in described:
+        e_root = basis(ANCHOR)
+        residuals = [
+            to_float(_norm(shifts._apply_B_pow(f, t.n, tree) - e_root, spec, tree))
+            for t in retained
+        ]
+    else:
+        residuals = _typed_residuals(retained, described, tree, spec)
     total = len(retained)
     certificates = []
-    for t in retained:
-        residual = to_float(_norm(_apply_B_pow(f, t.n, tree) - e_root, spec, tree))
+    for t, residual in zip(retained, residuals):
         bound = budget.tail(t.j, total)
         product = sum(opn ** t.n * later.g_norm for later in retained if later.j > t.j)
         verified = residual <= bound + 1e-12 * (1.0 + bound)
@@ -294,3 +359,59 @@ def build_recurrent_vector(
             RecurrentCertificate(t.j, t.n, residual, bound, product, verified)
         )
     return RecurrentSynthesis(f, certificates, retained, skipped, opn)
+
+
+def _typed_terms(kinds, values: dict, tree: TreeModel, spec: SpaceSpec):
+    """The powered norm terms |x mu|^p of a vector that takes the value
+    ``values[k]`` on each vertex of type k, in the order of ``kinds``; types
+    without a value have no entry.  One power per type."""
+    exponent = spec.dual.conjugate
+    power, weight = exponent.power, tree.type_weight
+    return _along({k: power(x * weight(k)) for k, x in values.items()}, kinds)
+
+
+def _typed_norm(parts, spec: SpaceSpec):
+    """The norm of the concatenated ``parts`` of powered terms: one
+    ``combine``, as `spaces._norm` takes it over the entries in order."""
+    exponent = spec.dual.conjugate
+    return exponent.root(exponent.combine(chain.from_iterable(parts)))
+
+
+def _typed_residuals(terms, described, tree: TreeModel, spec: SpaceSpec) -> list:
+    """``||B^(n_t) f - e_root||`` for each retained step t, where f is the sum
+    of the described terms, without building B^(n_t) f.
+
+    On a rooted tree B^(n_t) sends the earlier terms to 0, term t to its
+    total mass at the root and a later term l to level n_l - n_t, where a
+    vertex of type s receives the sum of term l's values along the types of
+    Chi^(n_t)(s).  Each sum is the left-to-right ``+`` fold from 0 that
+    `shifts.apply_B_pow` accumulates, computed once per (s, n_t), and the
+    entries are listed as B^(n_t) f - e_root lists them: the root (dropped
+    when its value is 0), then each later term's level depth-first."""
+    child_types = tree.child_types
+    below: dict = {}  # (s, n) -> the types of Chi^n(s), depth-first
+
+    def types_below(s, n: int) -> list:
+        k = n
+        while k and (s, k) not in below:
+            k -= 1
+        got = below.get((s, k), [s])
+        for k in range(k + 1, n + 1):
+            got = below[(s, k)] = [c for u in got for c in child_types(u)]
+        return got
+
+    def fold(values: dict, kinds):
+        return reduce(operator.add, _along(values, kinds), 0)
+
+    top = tree.type_of(ANCHOR)
+    residuals = []
+    for i, (t, (kinds, values)) in enumerate(zip(terms, described)):
+        root = fold(values, kinds) + (-1)  # B^(n_t) g_t - e_root, at the root
+        parts = [_typed_terms([top], {top: root} if root != 0 else {}, tree, spec)]
+        for later, (_, later_values) in zip(terms[i + 1:], described[i + 1:]):
+            level = types_below(top, later.n - t.n)
+            sums = {s: fold(later_values, types_below(s, t.n)) for s in dict.fromkeys(level)}
+            parts.append(_typed_terms(level, {s: y for s, y in sums.items() if y != 0},
+                                      tree, spec))
+        residuals.append(to_float(_typed_norm(parts, spec)))
+    return residuals

@@ -290,13 +290,20 @@ def _p_n(v: VertexAddress, n: int, tree: TreeModel) -> Optional[VertexAddress]:
 def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
     """All descendants exactly ``n`` generations below ``v``, depth-first in
     child-index order.  ``chi_n(v, 0)`` yields ``v`` itself.
+    Errors are raised on the first ``next()``, before anything is yielded."""
+    yield from _typed_fiber(v, n, tree)[0]
+
+
+def _typed_fiber(v, n: int, tree: TreeModel) -> tuple[list, list]:
+    """``(addresses, types)`` of Chi^n(v), both in depth-first order; on a
+    tree without vertex types each address is its own type (the two lists
+    are then one list: read them only).
 
     The fiber is built one level at a time, each level the children of the
     previous one in order, which at a fixed depth is the depth-first order.
     On a tree with vertex types each level carries its vertices' types, so
     the child counts come from ``tree.child_types``, read once per type;
-    levels that hold a spine vertex go vertex by vertex.
-    Errors are raised on the first ``next()``, before anything is yielded."""
+    levels that hold a spine vertex go vertex by vertex."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
@@ -321,7 +328,7 @@ def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
             for w, a in zip(level, counts)
             for i in range(a)
         ]
-    yield from level
+    return level, kinds if typed else level
 
 
 def _remember(memo: dict, key, value) -> None:
@@ -401,7 +408,9 @@ def _preorder(tree: TreeModel, trunc: Truncation, key_of) -> Iterator[VertexAddr
     """The walk of both enumerations, one anchor-level start at a time;
     ``key_of`` skips repeated (type, remaining depth) subtrees.  Starts are
     never skipped: above the anchor, a start's walked subtree leaves out its
-    spine child, which is the next start."""
+    spine child, which is the next start.  A spine child index out of range
+    is not an error here: the start's children are then all off the spine,
+    and `validate` reports the index."""
     top = trunc.ancestry if tree.kind == UNROOTED else 0
     seen = set()
     for a in range(top + 1):
@@ -409,9 +418,11 @@ def _preorder(tree: TreeModel, trunc: Truncation, key_of) -> Iterator[VertexAddr
         yield start
         if trunc.depth <= 0:
             continue
-        firsts = _children(start, tree)
-        if a > 0:
-            firsts = [c for c in firsts if c.up == a]
+        if a > 0:  # the children of the start that are off the spine
+            s = tree.spine_child_index(a - 1)
+            firsts = [VertexAddress(a, (i,)) for i in range(tree.arity(start)) if i != s]
+        else:
+            firsts = _children(start, tree)
         stack = [(c, trunc.depth - 1) for c in reversed(firsts)]
         while stack:
             w, r = stack.pop()
@@ -461,11 +472,13 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
         edge_report = validate_edge_data(tree.edge_data)
         violations.extend(edge_report.violations)
         checked += edge_report.checked
+    bad_spine = set()  # spine vertices whose spine child is not a child
     if tree.kind == UNROOTED:
         for k in range(trunc.ancestry):
             s = tree.spine_child_index(k)
             a = tree.arity(VertexAddress(k + 1))
             if not 0 <= s < a:
+                bad_spine.add(VertexAddress(k + 1))
                 violations.append(
                     Violation(
                         "SpineIndexOutOfRange",
@@ -484,14 +497,13 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
         w = tree.weight(v)
         if w == 0:
             violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
-        try:
-            for c in _children(v, tree):
-                if _p_n(c, 1, tree) != v:
-                    violations.append(
-                        Violation("ParentChildMismatch", str(c), f"parent is not {v}")
-                    )
-        except InvalidAddressError as exc:
-            violations.append(Violation("SpineIndexOutOfRange", str(v), str(exc)))
+        if not v[1] and v in bad_spine:  # reported above; its children cannot be listed
+            continue
+        for c in _children(v, tree):
+            if _p_n(c, 1, tree) != v:
+                violations.append(
+                    Violation("ParentChildMismatch", str(c), f"parent is not {v}")
+                )
     return ValidationReport(ok=not violations, violations=violations, checked=checked)
 
 

@@ -40,6 +40,18 @@ def test_validate_zero_weight_exits_2(tmp_path, capsys):
     assert "ZeroWeight" in out
 
 
+def test_validate_bad_spine_child_index_exits_2(tmp_path, capsys):
+    spec = tmp_path / "bad.ini"
+    spec.write_text("[tree]\nkind = unrooted\n[arity]\ndefault = 1\n(2; ) = 3\n"
+                    "[spine]\nchild_index = 2\n")
+    code = main(["validate", "--tree", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "INVALID" in captured.out
+    assert "SpineIndexOutOfRange at (1; ): spine child index 2 not below arity 1" in captured.out
+    assert "error" not in captured.err
+
+
 def test_validate_preset_ok(capsys):
     assert main(["validate", "--preset", "example_7_2", "--depth", "10"]) == 0
     assert "OK" in capsys.readouterr().out

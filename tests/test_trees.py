@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift.presets import chain_vertex, spine_vertex
+from treeshift.treespec import parse_tree_spec
 
 from conftest import assert_sweep_equals_enumeration, assert_type_contract
 
@@ -172,6 +173,19 @@ def test_validate_flags_zero_weight():
     report = ts.validate(tree, ts.Truncation(depth=4))
     assert "ZeroWeight" in report.codes()
     assert not report.ok
+
+
+def test_validate_reports_a_spine_child_index_out_of_range():
+    """The spine child index 2 exceeds the arity 1 of (1; ), (3; ) and (4; ):
+    each is a report entry, and the walk below the spine goes on."""
+    doc = "[tree]\nkind = unrooted\n[arity]\ndefault = 1\n(2; ) = 3\n[spine]\nchild_index = 2\n"
+    tree = parse_tree_spec(doc).source
+    report = ts.validate(tree, ts.Truncation(depth=3, ancestry=4))
+    assert not report.ok
+    assert report.codes() == {"SpineIndexOutOfRange"}
+    assert [v.where for v in report.violations] == ["(1; )", "(3; )", "(4; )"]
+    # the five starts, and three generations below each of their six off-spine children
+    assert report.checked == 23
 
 
 def test_edge_list_round_trip():

@@ -1,12 +1,14 @@
 """Tree-spec document parsing and model resolution."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
-from treeshift.treespec import parse_tree_spec, resolve_model
+from treeshift.treespec import load_tree_spec, parse_tree_spec, resolve_model
 
 L2 = ts.SpaceSpec.ell(2)
 
@@ -194,3 +196,15 @@ def test_geometric_weights_above_anchor():
     # above the anchor the signed depth is negative: weights grow
     assert tree.weight(VA(2)) == Fraction(4)
     assert tree.weight(VA(0, (0, 0, 0))) == Fraction(1, 8)
+
+
+def test_readme_tree_spec_examples_load_and_validate(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.ini"
+        path.write_text(block, encoding="utf-8")
+        doc = load_tree_spec(path)
+        report = ts.validate(doc.source, doc.truncation)
+        assert report.ok, (block, report.violations)

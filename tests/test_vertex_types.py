@@ -6,6 +6,7 @@ depth-first walk on the same generated trees."""
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift import criteria
+from treeshift.shifts import _apply_B_pow
+from treeshift.spaces import _norm, to_float
 from treeshift.trees import _fiber_types, _spine_fiber
 from treeshift.treespec import parse_tree_spec
 
@@ -282,3 +285,66 @@ def test_chi_n_errors():
     lazy = ts.chi_n(VA(0, (2,)), 1, binary)
     with pytest.raises(ts.InvalidAddressError):
         next(lazy)
+
+
+def _exact(doc: str) -> str:
+    """The document with Fraction weights only: the weight literal 1 becomes
+    1/1.  An integer weight gives float simplex coefficients (1 / 1 ** 2 is
+    1.0), and an integer ratio float weights above the anchor."""
+    head, weights = doc.split("[weights]\n")
+    weights, spine = (weights.split("[spine]") + [None])[:2]
+    weights = weights.replace("= 1\n", "= 1/1\n")
+    return head + "[weights]\n" + weights + ("" if spine is None else "[spine]" + spine)
+
+
+def _floats(doc: str) -> str:
+    """The document with every Fraction literal written as a float."""
+    return re.sub(r"-?\d+/\d+", lambda m: repr(float(Fraction(m.group()))), doc)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_right_inverse_is_exact_on_generated_trees(data):
+    """S_n e_v, with its coefficients computed once per vertex type, is a
+    right inverse exactly (B^n S_n e_v = e_v in Fractions), and its norm is
+    the fiber's simplex infimum within the default delta."""
+    tree = parse_tree_spec(_exact(data.draw(spec_documents()))).source
+    for v in _vertices(data.draw, tree):
+        for n in range(5):
+            for spec in SPACES:
+                try:
+                    g = ts.build_Sn(v, n, tree, spec)
+                except (ts.EmptyFiberError, ts.InvalidAddressError):
+                    continue
+                assert ts.apply_B_pow(g, n, tree) == ts.basis(v), (v, n, spec)
+                inf = ts.fiber_simplex_inf(tree, v, n, spec)
+                assert abs(float(ts.norm(g, spec, tree)) - inf) <= 2.0 ** -n * 1e-3, (v, n, spec)
+
+
+_GENEROUS = ts.TailBudget(lambda j: 1e9)  # every nonempty fiber is retained
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_typed_certificates_equal_the_materialised_kernel(data, exact):
+    """Term norms and residual certificates read per (level, type) equal,
+    bit for bit, the norms of the materialised g_j and of B^(n_j) f - e_root,
+    and the whole synthesis equals the one on a type-free copy."""
+    doc = data.draw(spec_documents(unrooted=False))
+    tree = parse_tree_spec(_exact(doc) if exact else _floats(doc)).source
+    plain = tree.with_weight(tree.weight)
+    e_root = ts.basis(VA(0))
+    for spec in [*SPACES, ts.SpaceSpec.ell(3), ts.SpaceSpec.ell("3/2")]:
+        def build(t):
+            return ts.build_recurrent_vector(range(6), t, spec, _GENEROUS, terms=4,
+                                             trunc=ts.Truncation(4, 0))
+        try:
+            syn = build(tree)
+        except ts.CriterionTooWeakError:
+            continue
+        for term in syn.terms:
+            assert term.g_norm == to_float(_norm(term.g, spec, tree)), (term.n, spec)
+        for cert in syn.certificates:
+            direct = _apply_B_pow(syn.vector, cert.n, tree) - e_root
+            assert cert.residual == to_float(_norm(direct, spec, tree)), (cert.n, spec)
+        assert repr(syn) == repr(build(plain)), spec
