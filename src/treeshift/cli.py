@@ -1,8 +1,23 @@
 """Command-line front end.
 
-Subcommands: validate, norm, orbit, criteria, supercyclic, limit-point,
-return-set, reproduce.  Exit codes: 0 success / reproduction PASS,
-1 reproduction FAIL, 2 spec or usage error, 3 internal error.
+Subcommands and the flags each takes, besides --out, --csv and --seed, which
+every subcommand takes:
+
+  validate     --tree | --preset, --exact, --depth, --ancestry
+  norm         --tree | --preset, --exact, --space, --depth, --ancestry
+  orbit        --tree | --preset, --exact, --space, --vector, --vector-preset,
+               --steps
+  criteria     --tree | --preset, --exact, --space, --horizon, --family
+  supercyclic  --tree | --preset, --exact, --space, --horizon, --depth,
+               --ancestry, --gamma
+  limit-point  --tree | --preset, --exact, --space, --horizon
+  return-set   --tree | --preset, --exact, --space, --horizon, --u-center,
+               --v-center, --u-radius, --v-radius, --slack
+  reproduce    <name>, --exact, --space, --horizon
+
+Exit codes: 0 success / reproduction PASS, 1 reproduction FAIL, 2 spec or
+usage error, 3 internal error.  A malformed flag value exits 2 before any
+command runs.
 
 Every CSV schema is fixed per command (see each subcommand's --help); floats
 are printed with 12 significant digits and output is byte-deterministic for a
@@ -17,10 +32,10 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from . import criteria as crit
-from .errors import TreeShiftError, TreeSpecError, UnknownPresetError
+from .errors import TreeShiftError, TreeSpecError
 from .families import (
     FamilySpec,
     cofinite_family,
@@ -30,6 +45,7 @@ from .families import (
     tilde_family,
 )
 from .presets import (
+    EXACT_PRESETS,
     PRESETS,
     chain_vertex,
     example_7_2_vector,
@@ -37,7 +53,7 @@ from .presets import (
 )
 from .shifts import BallSpec, apply_B_pow, operator_norm, orbit, return_set_report
 from .spaces import SpaceSpec, basis, load_vector, norm, to_float
-from .trees import ANCHOR, TreeModel, Truncation, validate
+from .trees import ANCHOR, Truncation, validate
 from .treespec import TreeSpecDocument, load_tree_spec, resolve_model
 
 
@@ -51,70 +67,23 @@ def _fmt(x) -> str:
     return f"{to_float(x):.12g}"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    tree_path: Optional[str] = None
-    preset: Optional[str] = None
-    space: SpaceSpec = SpaceSpec.ell(2)
-    horizon: int = 64
-    depth: Optional[int] = None
-    ancestry: Optional[int] = None
-    out: Optional[str] = None
-    csv_path: Optional[str] = None
-    exact: bool = False
-    seed: int = 0
-    options: dict = field(default_factory=dict)
+def _load_document(args: argparse.Namespace) -> TreeSpecDocument:
+    """The --tree document or the --preset tree."""
+    if args.tree:
+        return load_tree_spec(args.tree)
+    if args.preset:
+        params = {"exact": args.exact} if args.preset in EXACT_PRESETS else {}
+        return TreeSpecDocument(make_preset(args.preset, **params), Truncation(), args.preset)
+    raise TreeSpecError("give either --tree <path> or --preset <name>")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    space = SpaceSpec.parse(getattr(args, "space", "2"))
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k
-        not in {
-            "command", "tree", "preset", "space", "horizon", "depth",
-            "ancestry", "out", "csv", "exact", "seed", "func",
-        }
-    }
-    return RunConfig(
-        command=args.command,
-        tree_path=getattr(args, "tree", None),
-        preset=getattr(args, "preset", None),
-        space=space,
-        horizon=getattr(args, "horizon", 64),
-        depth=getattr(args, "depth", None),
-        ancestry=getattr(args, "ancestry", None),
-        out=getattr(args, "out", None),
-        csv_path=getattr(args, "csv", None),
-        exact=getattr(args, "exact", False),
-        seed=getattr(args, "seed", 0),
-        options=options,
-    )
-
-
-def _load_document(config: RunConfig) -> TreeSpecDocument:
-    """The --tree document or a --preset, with the truncation overrides."""
-    if config.tree_path:
-        doc = load_tree_spec(config.tree_path)
-    elif config.preset:
-        params = {}
-        if config.preset in ("example_4_1", "example_7_2"):
-            params["exact"] = config.exact
-        doc = TreeSpecDocument(make_preset(config.preset, **params), Truncation(), config.preset)
-    else:
-        raise TreeSpecError("give either --tree <path> or --preset <name>")
+def _truncation(args: argparse.Namespace, doc: TreeSpecDocument) -> Truncation:
+    """The document's truncation with the --depth and --ancestry overrides."""
     trunc = doc.truncation
-    depth = trunc.depth if config.depth is None else config.depth
-    ancestry = trunc.ancestry if config.ancestry is None else config.ancestry
-    doc.truncation = Truncation(depth, ancestry)
-    return doc
-
-
-def _load_model(config: RunConfig) -> tuple[TreeModel, Truncation]:
-    doc = _load_document(config)
-    return resolve_model(doc), doc.truncation
+    return Truncation(
+        trunc.depth if args.depth is None else args.depth,
+        trunc.ancestry if args.ancestry is None else args.ancestry,
+    )
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -124,13 +93,14 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fp.write(text + "\n")
 
 
-def _write_csv(config: RunConfig, header: list[str], rows: Callable[[], Iterable]) -> None:
+def _write_csv(args: argparse.Namespace, header: tuple[str, ...],
+               rows: Callable[[], Iterable]) -> None:
     """Write the rows ``rows()`` returns to the --csv path; without --csv
     they are never built."""
-    if not config.csv_path:
+    if not args.csv:
         return
-    with open(config.csv_path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(f"# treeshift {config.command}; seed={config.seed}\n")
+    with open(args.csv, "w", encoding="utf-8", newline="") as fp:
+        fp.write(f"# treeshift {args.command}; seed={args.seed}\n")
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
         for row in rows():
@@ -138,18 +108,17 @@ def _write_csv(config: RunConfig, header: list[str], rows: Callable[[], Iterable
 
 
 def _parse_family(text: str) -> FamilySpec:
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *params = text.split(":")
     if kind == "infinite":
         return infinite_family()
     if kind == "cofinite":
         return cofinite_family()
-    if kind == "syndetic":
-        return syndetic_family(int(parts[1]))
-    if kind == "thick":
-        return thick_family(int(parts[1]))
-    if kind == "tilde":
-        return tilde_family(_parse_family(":".join(parts[2:])), int(parts[1]))
+    if kind == "syndetic" and params:
+        return syndetic_family(int(params[0]))
+    if kind == "thick" and params:
+        return thick_family(int(params[0]))
+    if kind == "tilde" and params:
+        return tilde_family(_parse_family(":".join(params[1:])), int(params[0]))
     raise TreeSpecError(
         f"unknown family {text!r}; use infinite | cofinite | syndetic:g | "
         f"thick:L | tilde:N:<family>"
@@ -157,13 +126,24 @@ def _parse_family(text: str) -> FamilySpec:
 
 
 def _parse_gamma(text: str) -> crit.GammaSpec:
-    parts = text.split(":")
-    if parts[0] == "const":
-        value = Fraction(parts[1]) if len(parts) > 1 else 1
-        return crit.gamma_constant(value)
-    if parts[0] == "powers":
-        return crit.gamma_powers(Fraction(parts[1]))
+    kind, *params = text.split(":")
+    if kind == "const":
+        return crit.gamma_constant(Fraction(params[0]) if params else 1)
+    if kind == "powers" and params:
+        return crit.gamma_powers(Fraction(params[0]))
     raise TreeSpecError(f"unknown gamma {text!r}; use const:c | powers:r")
+
+
+def _count(value: int) -> int:
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
+def _radius(value: float) -> float:
+    if not value > 0:
+        raise ValueError("radius must be positive")
+    return value
 
 
 def _load_ball(path: Optional[str], radius: float, space: SpaceSpec) -> BallSpec:
@@ -175,248 +155,287 @@ def _load_ball(path: Optional[str], radius: float, space: SpaceSpec) -> BallSpec
     return BallSpec(center, radius, space)
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    doc = _load_document(config)
-    report = validate(doc.source, doc.truncation)
+# A runner reads the parsed arguments and returns (exit code, text, CSV rows).
+
+
+def _validate(args):
+    doc = _load_document(args)
+    report = validate(doc.source, _truncation(args, doc))
     lines = [f"validated {report.checked} vertices: {'OK' if report.ok else 'INVALID'}"]
     for v in report.violations:
         lines.append(f"  {v.code} at {v.where}: {v.detail}")
-    _emit("\n".join(lines), config.out)
-    _write_csv(config, ["code", "where", "detail"],
-               lambda: [(v.code, v.where, v.detail) for v in report.violations])
-    return 0 if report.ok else 2
+    return (0 if report.ok else 2, "\n".join(lines),
+            lambda: [(v.code, v.where, v.detail) for v in report.violations])
 
 
-def _cmd_norm(config: RunConfig) -> int:
-    tree, trunc = _load_model(config)
-    result = operator_norm(config.space, tree, trunc)
+def _norm(args):
+    doc = _load_document(args)
+    tree, trunc = resolve_model(doc), _truncation(args, doc)
+    result = operator_norm(args.space, tree, trunc)
     flag = "sup over truncation (lower bound)" if result.is_sup_over_truncation else "exact (finite tree)"
-    _emit(
-        f"operator norm of B on {tree.name} ({config.space.label}): "
+    text = (
+        f"operator norm of B on {tree.name} ({args.space.label}): "
         f"{result.value:.10f}\n{flag}; attained near "
-        f"{result.argmax}; truncation depth={trunc.depth} ancestry={trunc.ancestry}",
-        config.out,
+        f"{result.argmax}; truncation depth={trunc.depth} ancestry={trunc.ancestry}"
     )
-    _write_csv(
-        config,
-        ["space", "value", "is_sup_over_truncation"],
-        lambda: [(config.space.label, result.value, result.is_sup_over_truncation)],
-    )
-    return 0
+    return 0, text, lambda: [(args.space.label, result.value, result.is_sup_over_truncation)]
 
 
-def _cmd_orbit(config: RunConfig) -> int:
-    tree, trunc = _load_model(config)
-    vec_path = config.options.get("vector")
-    vec_preset = config.options.get("vector_preset")
-    if vec_path:
-        with open(vec_path, "r", encoding="utf-8") as fp:
+def _orbit(args):
+    tree = resolve_model(_load_document(args))
+    if args.vector:
+        with open(args.vector, "r", encoding="utf-8") as fp:
             f = load_vector(fp)
-    elif vec_preset == "example_7_2_f":
-        f = example_7_2_vector(exact=config.exact)
+    elif args.vector_preset == "example_7_2_f":
+        f = example_7_2_vector(exact=args.exact)
     else:
         f = basis(ANCHOR)
-    steps = config.options.get("steps") or config.horizon
-    points = orbit(f, steps, tree, config.space)
-    lines = [f"orbit of a {len(f)}-point vector on {tree.name} ({config.space.label})"]
+    points = orbit(f, args.steps, tree, args.space)
+    lines = [f"orbit of a {len(f)}-point vector on {tree.name} ({args.space.label})"]
     lines.extend(f"  n={p.n}: ||B^n f|| = {_fmt(p.norm)}" for p in points)
-    _emit("\n".join(lines), config.out)
-    _write_csv(config, ["n", "norm"], lambda: [(p.n, p.norm) for p in points])
-    return 0
+    return 0, "\n".join(lines), lambda: [(p.n, p.norm) for p in points]
 
 
-def _cmd_criteria(config: RunConfig) -> int:
-    tree, _ = _load_model(config)
-    fam = _parse_family(config.options.get("family") or "infinite")
-    report = crit.dynamics_report(tree, config.space, fam, horizon=config.horizon)
-    _emit(report.to_text(), config.out)
-    _write_csv(config, ["vertex", "n", "q_value", "j_value"], report.csv_rows)
-    return 0
+def _criteria(args):
+    tree = resolve_model(_load_document(args))
+    report = crit.dynamics_report(tree, args.space, args.family, horizon=args.horizon)
+    return 0, report.to_text(), report.csv_rows
 
 
-def _cmd_supercyclic(config: RunConfig) -> int:
-    tree, trunc = _load_model(config)
-    gamma = _parse_gamma(config.options.get("gamma") or "const:1")
+def _supercyclic(args):
+    doc = _load_document(args)
     report = crit.supercyclicity_report(
-        tree, config.space, gamma, horizon=config.horizon, trunc=trunc
+        resolve_model(doc), args.space, args.gamma, horizon=args.horizon,
+        trunc=_truncation(args, doc),
     )
-    _emit(report.to_text(), config.out)
-    _write_csv(config, ["threshold", "n", "k", "abs_lambda"], report.csv_rows)
-    return 0
+    return 0, report.to_text(), report.csv_rows
 
 
-def _cmd_limit_point(config: RunConfig) -> int:
-    tree, _ = _load_model(config)
-    report = crit.limit_point_report(tree, config.space, horizon=config.horizon)
-    _emit(report.to_text(), config.out)
-    _write_csv(config, ["vertex", "n", "q_value"], report.csv_rows)
-    return 0
+def _limit_point(args):
+    tree = resolve_model(_load_document(args))
+    report = crit.limit_point_report(tree, args.space, horizon=args.horizon)
+    return 0, report.to_text(), report.csv_rows
 
 
-def _cmd_return_set(config: RunConfig) -> int:
-    tree, _ = _load_model(config)
-    space = config.space
-    U = _load_ball(config.options.get("u_center"), config.options.get("u_radius") or 0.5, space)
-    V = _load_ball(config.options.get("v_center"), config.options.get("v_radius") or 0.5, space)
-    slack = config.options.get("slack") or 1e-6
-    report = return_set_report(U, V, config.horizon, tree, slack)
-    certified = sorted(report.certified)
-    _emit(
-        f"return set N(U, V) on {tree.name} ({space.label}), horizon {config.horizon}\n"
-        f"certified times: {certified}\n"
-        f"uncertified (not refuted): {sorted(report.uncertified)}",
-        config.out,
+def _return_set(args):
+    tree = resolve_model(_load_document(args))
+    space = args.space
+    U = _load_ball(args.u_center, args.u_radius, space)
+    V = _load_ball(args.v_center, args.v_radius, space)
+    report = return_set_report(U, V, args.horizon, tree, args.slack)
+    text = (
+        f"return set N(U, V) on {tree.name} ({space.label}), horizon {args.horizon}\n"
+        f"certified times: {sorted(report.certified)}\n"
+        f"uncertified (not refuted): {sorted(report.uncertified)}"
     )
 
     def rows():
-        for n in range(config.horizon + 1):
+        for n in range(args.horizon + 1):
             w = report.certified.get(n)
             yield n, w is not None, "" if w is None else norm(w, space, tree)
 
-    _write_csv(config, ["n", "certified", "witness_norm"], rows)
-    return 0
+    return 0, text, rows
 
 
-REPRODUCE_PRESETS = (
-    "example_4_1_disjoint_sets",
-    "example_7_1_limit_point_not_hc",
-    "example_7_2_orbit",
-    "example_7_2_not_hc",
-)
-
-
-def reproduce(name: str, config: RunConfig) -> tuple[bool, str, list[str], list[tuple]]:
-    """Run a scripted reproduction; returns (passed, text, csv_header, rows)."""
-    space = config.space
-    if name == "example_4_1_disjoint_sets":
-        tree = make_preset("example_4_1", exact=config.exact)
-        horizon = config.horizon if config.horizon != 64 else 1000
-        rows = []
-        ok = True
-        for k in range(1, 6):
-            for N in (1, 2, 4):
-                inter = crit.I_set(
-                    [chain_vertex(0, k)], N, tree, space, horizon
-                ) & crit.I_set([chain_vertex(1, k)], N, tree, space, horizon)
-                rows.append((k, N, len(inter)))
-                ok = ok and not inter
-        text = (
-            f"I(u_k, N) and I(v_k, N) are disjoint for k=1..5, N in {{1,2,4}}, "
-            f"horizon {horizon}: {'PASS' if ok else 'FAIL'}"
-        )
-        return ok, text, ["k", "N", "intersection_size"], rows
-
-    if name == "example_7_1_limit_point_not_hc":
-        tree = make_preset("example_4_1", exact=config.exact)
-        dyn = crit.dynamics_report(tree, space, horizon=config.horizon)
-        lim = crit.limit_point_report(tree, space, horizon=config.horizon)
-        ok = (not dyn.satisfied) and lim.status == "holds"
-        text = (
-            f"not hypercyclic at horizon: {not dyn.satisfied}; orbit with nonzero "
-            f"limit point: {lim.status}: {'PASS' if ok else 'FAIL'}"
-        )
-        rows = [
-            (n, crit.q_value(ANCHOR, n, tree, space)) for n in range(config.horizon + 1)
-        ]
-        return ok, text, ["n", "q_root"], rows
-
-    if name == "example_7_2_orbit":
-        tree = make_preset("example_7_2", exact=config.exact)
-        f = example_7_2_vector(k_max=7, exact=config.exact)
-        target = basis(chain_vertex(0, 1)) - basis(chain_vertex(1, 1))
-        p = float(space.p) if space.kind == "lp" else None
-        if p is None:
-            raise TreeSpecError("example_7_2_orbit needs an l^p space")
-        rows = []
-        ok = True
-        last = None
-        for k in range(1, 7):
-            n = 2 ** k - 1
-            residual = to_float(norm(apply_B_pow(f, n, tree) - target, space, tree))
-            analytic = (
-                2.0 / 2.0 ** p
-                * sum(2.0 ** (-p * (2 ** l - 2 ** k)) for l in range(k + 1, 8))
-            ) ** (1.0 / p)
-            rows.append((k, n, residual, analytic))
-            ok = ok and abs(residual - analytic) <= 1e-9 * (1 + analytic)
-            if last is not None:
-                ok = ok and residual < last
-            last = residual
-        text = f"orbit residuals match the analytic tail sums: {'PASS' if ok else 'FAIL'}"
-        return ok, text, ["k", "n", "residual", "analytic"], rows
-
-    if name == "example_7_2_not_hc":
-        tree = make_preset("example_7_2", exact=config.exact)
-        u1 = chain_vertex(0, 1)
-        horizon = config.horizon
-        ceiling = max(crit.j_value(u1, n, tree, space) for n in range(horizon + 1))
-        inter = crit.I_set([u1], 4, tree, space, horizon) & crit.J_set(
-            [u1], 4, tree, space, horizon
-        )
-        dyn = crit.dynamics_report(tree, space, horizon=horizon)
-        ok = abs(ceiling - 3.0) <= 1e-9 and not inter and not dyn.satisfied
-        text = (
-            f"j-quantity ceiling at u_1 is {ceiling:.6g} (expected 3); I&J empty at "
-            f"N=4: {not inter}; criterion fails at horizon: {not dyn.satisfied}: "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-        rows = [
-            (n, crit.q_value(u1, n, tree, space), crit.j_value(u1, n, tree, space))
-            for n in range(horizon + 1)
-        ]
-        return ok, text, ["n", "q_u1", "j_u1"], rows
-
-    raise UnknownPresetError(
-        f"unknown reproduction {name!r}; available: {REPRODUCE_PRESETS}"
+def _example_4_1_disjoint_sets(space, horizon, exact):
+    tree = make_preset("example_4_1", exact=exact)
+    rows = []
+    ok = True
+    for k in range(1, 6):
+        for N in (1, 2, 4):
+            inter = crit.I_set(
+                [chain_vertex(0, k)], N, tree, space, horizon
+            ) & crit.I_set([chain_vertex(1, k)], N, tree, space, horizon)
+            rows.append((k, N, len(inter)))
+            ok = ok and not inter
+    text = (
+        f"I(u_k, N) and I(v_k, N) are disjoint for k=1..5, N in {{1,2,4}}, "
+        f"horizon {horizon}: {'PASS' if ok else 'FAIL'}"
     )
+    return ok, text, rows
 
 
-def _cmd_reproduce(config: RunConfig) -> int:
-    name = config.options["name"]
-    ok, text, header, rows = reproduce(name, config)
-    _emit(text, config.out)
-    _write_csv(config, header, lambda: rows)
-    return 0 if ok else 1
+def _example_7_1_limit_point_not_hc(space, horizon, exact):
+    tree = make_preset("example_4_1", exact=exact)
+    dyn = crit.dynamics_report(tree, space, horizon=horizon)
+    lim = crit.limit_point_report(tree, space, horizon=horizon)
+    ok = (not dyn.satisfied) and lim.status == "holds"
+    text = (
+        f"not hypercyclic at horizon: {not dyn.satisfied}; orbit with nonzero "
+        f"limit point: {lim.status}: {'PASS' if ok else 'FAIL'}"
+    )
+    rows = [(n, crit.q_value(ANCHOR, n, tree, space)) for n in range(horizon + 1)]
+    return ok, text, rows
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "norm": _cmd_norm,
-    "orbit": _cmd_orbit,
-    "criteria": _cmd_criteria,
-    "supercyclic": _cmd_supercyclic,
-    "limit-point": _cmd_limit_point,
-    "return-set": _cmd_return_set,
-    "reproduce": _cmd_reproduce,
+def _example_7_2_orbit(space, horizon, exact):
+    tree = make_preset("example_7_2", exact=exact)
+    f = example_7_2_vector(k_max=7, exact=exact)
+    target = basis(chain_vertex(0, 1)) - basis(chain_vertex(1, 1))
+    p = float(space.p) if space.kind == "lp" else None
+    if p is None:
+        raise TreeSpecError("example_7_2_orbit needs an l^p space")
+    rows = []
+    ok = True
+    last = None
+    for k in range(1, 7):
+        n = 2 ** k - 1
+        residual = to_float(norm(apply_B_pow(f, n, tree) - target, space, tree))
+        analytic = (
+            2.0 / 2.0 ** p
+            * sum(2.0 ** (-p * (2 ** l - 2 ** k)) for l in range(k + 1, 8))
+        ) ** (1.0 / p)
+        rows.append((k, n, residual, analytic))
+        ok = ok and abs(residual - analytic) <= 1e-9 * (1 + analytic)
+        if last is not None:
+            ok = ok and residual < last
+        last = residual
+    text = f"orbit residuals match the analytic tail sums: {'PASS' if ok else 'FAIL'}"
+    return ok, text, rows
+
+
+def _example_7_2_not_hc(space, horizon, exact):
+    tree = make_preset("example_7_2", exact=exact)
+    u1 = chain_vertex(0, 1)
+    ceiling = max(crit.j_value(u1, n, tree, space) for n in range(horizon + 1))
+    inter = crit.I_set([u1], 4, tree, space, horizon) & crit.J_set(
+        [u1], 4, tree, space, horizon
+    )
+    dyn = crit.dynamics_report(tree, space, horizon=horizon)
+    ok = abs(ceiling - 3.0) <= 1e-9 and not inter and not dyn.satisfied
+    text = (
+        f"j-quantity ceiling at u_1 is {ceiling:.6g} (expected 3); I&J empty at "
+        f"N=4: {not inter}; criterion fails at horizon: {not dyn.satisfied}: "
+        f"{'PASS' if ok else 'FAIL'}"
+    )
+    rows = [
+        (n, crit.q_value(u1, n, tree, space), crit.j_value(u1, n, tree, space))
+        for n in range(horizon + 1)
+    ]
+    return ok, text, rows
+
+
+@dataclass(frozen=True)
+class Reproduction:
+    """A scripted reproduction: its CSV columns, its default --horizon, and
+    its function of (space, horizon, exact) to (passed, text, CSV rows)."""
+
+    header: tuple[str, ...]
+    horizon: int
+    run: Callable
+
+
+REPRODUCTIONS = {
+    "example_4_1_disjoint_sets": Reproduction(
+        ("k", "N", "intersection_size"), 1000, _example_4_1_disjoint_sets),
+    "example_7_1_limit_point_not_hc": Reproduction(
+        ("n", "q_root"), 64, _example_7_1_limit_point_not_hc),
+    "example_7_2_orbit": Reproduction(
+        ("k", "n", "residual", "analytic"), 64, _example_7_2_orbit),
+    "example_7_2_not_hc": Reproduction(("n", "q_u1", "j_u1"), 64, _example_7_2_not_hc),
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute the configured pipeline; exceptions map to exit codes 2/3."""
-    try:
-        return _COMMANDS[config.command](config)
-    except (TreeShiftError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
-        traceback.print_exc()
-        return 3
+def _reproduce(args):
+    repro = REPRODUCTIONS[args.name]
+    horizon = repro.horizon if args.horizon is None else args.horizon
+    ok, text, rows = repro.run(args.space, horizon, args.exact)
+    return 0 if ok else 1, text, lambda: rows
 
 
-def _add_common(sub: argparse.ArgumentParser, horizon_default: int = 64) -> None:
-    sub.add_argument("--tree", help="tree-spec document path")
-    sub.add_argument("--preset", choices=sorted(PRESETS), help="named preset tree")
-    sub.add_argument("--space", default="2", help="p for l^p (e.g. 2, 1, 4/3) or c0")
-    sub.add_argument("--horizon", type=int, default=horizon_default)
-    sub.add_argument("--depth", type=int, help="truncation depth override")
-    sub.add_argument("--ancestry", type=int, help="truncation ancestry override")
-    sub.add_argument("--out", help="write the text report here as well")
-    sub.add_argument("--csv", help="write CSV data here")
-    sub.add_argument(
-        "--exact", action="store_true",
+# Every flag a subcommand can take, with its argparse keywords.
+_FLAGS = {
+    "--tree": dict(help="tree-spec document path"),
+    "--preset": dict(choices=sorted(PRESETS), help="named preset tree"),
+    "--exact": dict(
+        action="store_true",
         help="exact dyadic weights (--preset trees; documents set their own 'exact')",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
+    ),
+    "--space": dict(default="2", help="p for l^p (e.g. 2, 1, 4/3) or c0"),
+    "--horizon": dict(type=int, default=64),
+    "--depth": dict(type=int, help="truncation depth override"),
+    "--ancestry": dict(type=int, help="truncation ancestry override"),
+    "--vector": dict(help="vector file (address<TAB>value lines)"),
+    "--vector-preset": dict(choices=["example_7_2_f"], help="a named vector preset"),
+    "--steps": dict(type=int, default=64, help="number of orbit steps (default 64)"),
+    "--family": dict(
+        default="infinite", help="infinite | cofinite | syndetic:g | thick:L | tilde:N:<family>"
+    ),
+    "--gamma": dict(default="const:1", help="const:c | powers:r"),
+    "--u-center": dict(help="vector file for the U ball center (default e_anchor)"),
+    "--v-center": dict(help="vector file for the V ball center (default e_anchor)"),
+    "--u-radius": dict(type=float, default=0.5),
+    "--v-radius": dict(type=float, default=0.5),
+    "--slack": dict(type=float, default=1e-6),
+    "name": dict(choices=tuple(REPRODUCTIONS)),
+    "--out": dict(help="write the text report here as well"),
+    "--csv": dict(help="write CSV data here"),
+    "--seed": dict(type=int, default=0, help="seed recorded in outputs"),
+}
+
+# The flags whose values `main` turns into library objects, or checks, before
+# any command runs.
+_CONVERT = {
+    "--space": SpaceSpec.parse,
+    "--family": _parse_family,
+    "--gamma": _parse_gamma,
+    "--horizon": _count,
+    "--steps": _count,
+    "--depth": _count,
+    "--ancestry": _count,
+    "--u-radius": _radius,
+    "--v-radius": _radius,
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its help line, the flags it takes besides --out, --csv
+    and --seed, its CSV columns, its runner and any argparse defaults that
+    differ from the flag's own."""
+
+    help: str
+    flags: tuple[str, ...]
+    header: Union[tuple[str, ...], dict[str, tuple[str, ...]]]
+    run: Callable
+    defaults: dict = field(default_factory=dict)
+
+
+_TREE = ("--tree", "--preset", "--exact")
+_TRUNCATION = ("--depth", "--ancestry")
+
+_COMMANDS = {
+    "validate": Command("check the tree axioms on a truncation", _TREE + _TRUNCATION,
+                        ("code", "where", "detail"), _validate),
+    "norm": Command("operator norm of the backward shift", _TREE + ("--space",) + _TRUNCATION,
+                    ("space", "value", "is_sup_over_truncation"), _norm),
+    "orbit": Command("orbit norms of a finitely supported vector",
+                     _TREE + ("--space", "--vector", "--vector-preset", "--steps"),
+                     ("n", "norm"), _orbit),
+    "criteria": Command("transitivity/recurrence weight criteria",
+                        _TREE + ("--space", "--horizon", "--family"),
+                        ("vertex", "n", "q_value", "j_value"), _criteria),
+    "supercyclic": Command("scaled-orbit (Gamma) criteria",
+                           _TREE + ("--space", "--horizon") + _TRUNCATION + ("--gamma",),
+                           ("threshold", "n", "k", "abs_lambda"), _supercyclic),
+    "limit-point": Command("orbital limit point criteria", _TREE + ("--space", "--horizon"),
+                           ("vertex", "n", "q_value"), _limit_point),
+    "return-set": Command("constructive return-set certification",
+                          _TREE + ("--space", "--horizon", "--u-center", "--v-center",
+                                   "--u-radius", "--v-radius", "--slack"),
+                          ("n", "certified", "witness_norm"), _return_set),
+    # each reproduction has its own header and default horizon
+    "reproduce": Command("scripted reproductions with PASS/FAIL",
+                         ("name", "--exact", "--space", "--horizon"),
+                         {name: repro.header for name, repro in REPRODUCTIONS.items()},
+                         _reproduce, defaults={"horizon": None}),
+}
+
+
+def _epilog(header) -> str:
+    if isinstance(header, dict):
+        return "CSV: " + "; ".join(f"{name}: {','.join(h)}" for name, h in header.items())
+    return "CSV: " + ",".join(header)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,64 +445,41 @@ def build_parser() -> argparse.ArgumentParser:
         "and horizon-bounded dynamical criteria.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("validate", help="check the tree axioms on a truncation",
-                          epilog="CSV: code,where,detail")
-    _add_common(sub)
-
-    sub = subs.add_parser("norm", help="operator norm of the backward shift",
-                          epilog="CSV: space,value,is_sup_over_truncation")
-    _add_common(sub)
-
-    sub = subs.add_parser("orbit", help="orbit norms of a finitely supported vector",
-                          epilog="CSV: n,norm")
-    _add_common(sub)
-    sub.add_argument("--vector", help="vector file (address<TAB>value lines)")
-    sub.add_argument("--vector-preset", choices=["example_7_2_f"],
-                     help="a named vector preset")
-    sub.add_argument("--steps", type=int, help="number of orbit steps (default: horizon)")
-
-    sub = subs.add_parser("criteria", help="transitivity/recurrence weight criteria",
-                          epilog="CSV: vertex,n,q_value,j_value")
-    _add_common(sub)
-    sub.add_argument("--family", default="infinite",
-                     help="infinite | cofinite | syndetic:g | thick:L | tilde:N:<family>")
-
-    sub = subs.add_parser("supercyclic", help="scaled-orbit (Gamma) criteria",
-                          epilog="CSV: threshold,n,k,abs_lambda")
-    _add_common(sub)
-    sub.add_argument("--gamma", default="const:1", help="const:c | powers:r")
-
-    sub = subs.add_parser("limit-point", help="orbital limit point criteria",
-                          epilog="CSV: vertex,n,q_value")
-    _add_common(sub)
-
-    sub = subs.add_parser("return-set", help="constructive return-set certification",
-                          epilog="CSV: n,certified,witness_norm")
-    _add_common(sub)
-    sub.add_argument("--u-center", help="vector file for the U ball center (default e_anchor)")
-    sub.add_argument("--v-center", help="vector file for the V ball center (default e_anchor)")
-    sub.add_argument("--u-radius", type=float, default=0.5)
-    sub.add_argument("--v-radius", type=float, default=0.5)
-    sub.add_argument("--slack", type=float, default=1e-6)
-
-    sub = subs.add_parser("reproduce", help="scripted reproductions with PASS/FAIL",
-                          epilog="CSV schema depends on the preset; see README")
-    _add_common(sub)
-    sub.add_argument("name", choices=REPRODUCE_PRESETS)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, epilog=_epilog(command.header))
+        for flag in command.flags + ("--out", "--csv", "--seed"):
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(**command.defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for flag, convert in _CONVERT.items():
+        dest = flag[2:].replace("-", "_")
+        value = vars(args).get(dest)
+        if value is None:
+            continue
+        try:
+            setattr(args, dest, convert(value))
+        except (ArithmeticError, ValueError, TreeShiftError) as exc:
+            print(f"error: {flag} {value}: {exc}", file=sys.stderr)
+            return 2
+    command = _COMMANDS[args.command]
+    header = command.header
+    if isinstance(header, dict):
+        header = header[args.name]
     try:
-        config = _config_from_args(args)
-    except (ValueError, TreeShiftError) as exc:
+        code, text, rows = command.run(args)
+        _emit(text, args.out)
+        _write_csv(args, header, rows)
+    except (TreeShiftError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    except Exception:
+        traceback.print_exc()
+        return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -228,9 +228,14 @@ class DynamicsReport:
     satisfied: bool
     witness_vertex: Optional[VertexAddress]
     witness_sequence: list[int]
-    csv_vertices: list[VertexAddress]
-    tree: TreeModel
+    q_rows: dict[VertexAddress, list]
+    j_rows: Optional[dict[VertexAddress, list]]
     spec: SpaceSpec
+
+    @property
+    def csv_vertices(self) -> list[VertexAddress]:
+        """The vertices of the CSV rows, in row order."""
+        return list(self.q_rows)
 
     def to_text(self) -> str:
         lines = [
@@ -259,12 +264,12 @@ class DynamicsReport:
         return "\n".join(lines)
 
     def csv_rows(self):
-        """(vertex, n, q_value, j_value) rows for plotting."""
-        q_rows, j_rows = _mass_rows(self.csv_vertices, self.tree, self.spec, self.horizon)
+        """(vertex, n, q_value, j_value) rows for plotting, from the mass rows
+        the report thresholded."""
         rows = []
-        for v, row in q_rows.items():
+        for v, row in self.q_rows.items():
             for n, m in enumerate(row):
-                j = "" if j_rows is None else _value(j_rows[v][n], self.spec)
+                j = "" if self.j_rows is None else _value(self.j_rows[v][n], self.spec)
                 rows.append((format_address(v), n, _value(m, self.spec), j))
         return rows
 
@@ -321,8 +326,8 @@ def dynamics_report(
         satisfied=satisfied,
         witness_vertex=witness_vertex,
         witness_sequence=witness_sequence,
-        csv_vertices=singles,
-        tree=tree,
+        q_rows=q_rows,
+        j_rows=j_rows,
         spec=spec,
     )
 

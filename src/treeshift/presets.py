@@ -157,6 +157,9 @@ PRESETS: dict[str, Callable[..., TreeModel]] = {
     "bi_infinite_path": bi_infinite_path,
 }
 
+# The presets whose weight rules take ``exact``.
+EXACT_PRESETS = frozenset({"example_4_1", "example_7_2"})
+
 
 def make_preset(name: str, **params) -> TreeModel:
     try:

@@ -460,9 +460,11 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
     """Check the tree axioms on the finite truncation.
 
     Accepts a TreeModel or raw EdgeData.  Rule-backed trees are checked for
-    nonzero weights, nonnegative arity, spine consistency and parent/child
-    coherence; edge-backed data additionally for unique parents, circuits and
-    connectedness to the anchor.  Violations are report entries, never raises.
+    nonzero weights, nonnegative arity and spine child indices below the
+    arity; edge-backed data additionally for unique parents, circuits and
+    connectedness to the anchor.  Parent/child coherence needs no check:
+    children are built from their parent's address, and the parent map
+    inverts both forms.  Violations are report entries, never raises.
     """
     if isinstance(tree, EdgeData):
         return validate_edge_data(tree)
@@ -472,13 +474,11 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
         edge_report = validate_edge_data(tree.edge_data)
         violations.extend(edge_report.violations)
         checked += edge_report.checked
-    bad_spine = set()  # spine vertices whose spine child is not a child
     if tree.kind == UNROOTED:
         for k in range(trunc.ancestry):
             s = tree.spine_child_index(k)
             a = tree.arity(VertexAddress(k + 1))
             if not 0 <= s < a:
-                bad_spine.add(VertexAddress(k + 1))
                 violations.append(
                     Violation(
                         "SpineIndexOutOfRange",
@@ -497,13 +497,6 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
         w = tree.weight(v)
         if w == 0:
             violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
-        if not v[1] and v in bad_spine:  # reported above; its children cannot be listed
-            continue
-        for c in _children(v, tree):
-            if _p_n(c, 1, tree) != v:
-                violations.append(
-                    Violation("ParentChildMismatch", str(c), f"parent is not {v}")
-                )
     return ValidationReport(ok=not violations, violations=violations, checked=checked)
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import TreeSpecError
-from .presets import PRESETS, make_preset
+from .presets import EXACT_PRESETS, PRESETS, make_preset
 from .spaces import parse_scalar
 from .trees import (
     ROOTED,
@@ -132,7 +132,7 @@ def _build_preset(preset: str, tree_section: dict) -> TreeModel:
     if preset not in PRESETS:
         raise TreeSpecError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
     params = {}
-    if preset in ("example_4_1", "example_7_2"):
+    if preset in EXACT_PRESETS:
         params["exact"] = _parse_bool(tree_section.get("exact", "false"))
     if preset == "example_4_1" and "m" in tree_section:
         m_text = tree_section["m"]

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 import treeshift as ts
-from treeshift import criteria
+from treeshift import cli, criteria
 from treeshift.cli import main
+from treeshift.shifts import return_set_report
 
 
 def run_cli(*argv, capsys=None):
@@ -72,7 +77,7 @@ def test_orbit_csv(tmp_path, capsys):
     code = main(
         [
             "orbit", "--preset", "example_7_2", "--vector-preset", "example_7_2_f",
-            "--steps", "7", "--csv", str(csv_path), "--depth", "130",
+            "--steps", "7", "--csv", str(csv_path),
         ]
     )
     assert code == 0
@@ -184,7 +189,7 @@ def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
     assert len(reads) == 7007
     reads.clear()
     assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
-    assert len(reads) == 14014
+    assert len(reads) == 7007
 
 
 def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):
@@ -217,10 +222,31 @@ _CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
     pytest.param("validate", "tree", _CUSTOM + "default = 1\n[weights]\ndefault = abc\n",
                  id="spec-bad-weight"),
     pytest.param("criteria", "tree", _CUSTOM + "default = -1\n", id="spec-negative-arity"),
+    pytest.param("criteria", "argv", "--family syndetic:x", id="family-bad-gap"),
+    pytest.param("criteria", "argv", "--family syndetic:0", id="family-zero-gap"),
+    pytest.param("supercyclic", "argv", "--gamma powers:x", id="gamma-bad-ratio"),
+    pytest.param("supercyclic", "argv", "--gamma const:0", id="gamma-zero-constant"),
+    pytest.param("criteria", "argv", "--horizon -1", id="negative-horizon"),
+    pytest.param("validate", "argv", "--depth -1", id="negative-depth"),
+    pytest.param("return-set", "argv", "--u-radius -1", id="negative-radius"),
+    pytest.param("return-set", "argv", "--u-radius 0", id="zero-u-radius"),
+    pytest.param("return-set", "argv", "--v-radius 0", id="zero-v-radius"),
+    *(pytest.param(command, "removed", text, id=f"{command}-takes-no-{text.split()[0][2:]}")
+      for command, text in [
+          ("validate", "--space 2"), ("validate", "--horizon 5"), ("norm", "--horizon 5"),
+          ("orbit", "--depth 3"), ("orbit", "--ancestry 3"), ("orbit", "--horizon 5"),
+          ("criteria", "--depth 3"), ("criteria", "--ancestry 3"),
+          ("limit-point", "--depth 3"), ("limit-point", "--ancestry 3"),
+          ("return-set", "--depth 3"), ("return-set", "--ancestry 3"),
+          ("reproduce", "--tree t.ini"), ("reproduce", "--preset full_binary"),
+          ("reproduce", "--depth 3"), ("reproduce", "--ancestry 3"),
+      ]),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, kind, text):
-    """Malformed addresses, counts and scalars exit 2 with one error line,
-    and an address that does not parse raises InvalidAddressError."""
+    """Malformed addresses, counts, scalars and flag values exit 2 with one
+    error line, and an address that does not parse raises
+    InvalidAddressError.  A flag the subcommand does not take exits 2 through
+    argparse."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     if kind == "vector":
@@ -229,8 +255,56 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, kind, text)
         if address != "(0; 1)":
             with pytest.raises(ts.InvalidAddressError):
                 ts.parse_address(address)
-    else:
+    elif kind == "tree":
         argv = [command, "--tree", str(path)]
+    else:
+        base = ["example_7_2_orbit"] if command == "reproduce" else ["--preset", "unary_path"]
+        argv = [command, *base, *text.split()]
+    if kind == "removed":
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {text}" in capsys.readouterr().err
+        return
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["orbit", "--preset", "full_binary", "--steps", "0"], "  n=0: ||B^n f|| = 1"),
+    (["reproduce", "example_4_1_disjoint_sets", "--horizon", "64"],
+     "I(u_k, N) and I(v_k, N) are disjoint for k=1..5, N in {1,2,4}, horizon 64: PASS"),
+    (["reproduce", "example_4_1_disjoint_sets"],
+     "I(u_k, N) and I(v_k, N) are disjoint for k=1..5, N in {1,2,4}, horizon 1000: PASS"),
+], ids=["orbit-steps-0", "reproduce-horizon-64", "reproduce-default-horizon"])
+def test_explicit_flag_values_are_not_replaced(capsys, argv, line):
+    """A value equal to 0 or to another command's default is run as given."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+
+
+def test_return_set_runs_with_slack_zero(monkeypatch, capsys):
+    slacks = []
+
+    def recorded(U, V, horizon, tree, slack):
+        slacks.append(slack)
+        return return_set_report(U, V, horizon, tree, slack)
+
+    monkeypatch.setattr(cli, "return_set_report", recorded)
+    assert main(["return-set", "--preset", "full_binary", "--horizon", "3", "--slack", "0"]) == 0
+    assert slacks == [0.0]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    """Every `treeshift` line of the README's CLI block exits 0, with
+    mytree.ini written from the README's custom-rules example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    custom = next(b for b in re.findall(r"```ini\n(.*?)```", readme, re.S) if "[spine]" in b)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mytree.ini").write_text(custom)
+    lines = block.strip().splitlines()
+    assert lines and all(line.startswith("treeshift ") for line in lines)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
