@@ -102,6 +102,7 @@ from .criteria import (
     DynamicsReport,
     GammaSpec,
     I_set,
+    I_sets,
     J_set,
     LimitPointReport,
     SupercyclicityReport,

@@ -13,7 +13,8 @@ every subcommand takes:
   limit-point  --tree | --preset, --exact, --space, --horizon
   return-set   --tree | --preset, --exact, --space, --horizon, --u-center,
                --v-center, --u-radius, --v-radius, --slack
-  reproduce    <name>, --exact, --space, --horizon
+  reproduce    <name>, --exact, --space, --horizon (not example_7_2_orbit,
+               whose times are fixed)
 
 Exit codes: 0 success / reproduction PASS, 1 reproduction FAIL, 2 spec or
 usage error, 3 internal error.  A malformed flag value exits 2 before any
@@ -146,6 +147,12 @@ def _radius(value: float) -> float:
     return value
 
 
+def _slack(value: float) -> float:
+    if not 0 <= value < 1:
+        raise ValueError("slack must satisfy 0 <= slack < 1")
+    return value
+
+
 def _load_ball(path: Optional[str], radius: float, space: SpaceSpec) -> BallSpec:
     if path:
         with open(path, "r", encoding="utf-8") as fp:
@@ -239,13 +246,16 @@ def _return_set(args):
 
 def _example_4_1_disjoint_sets(space, horizon, exact):
     tree = make_preset("example_4_1", exact=exact)
+    ladder = (1, 2, 4)
     rows = []
     ok = True
     for k in range(1, 6):
-        for N in (1, 2, 4):
-            inter = crit.I_set(
-                [chain_vertex(0, k)], N, tree, space, horizon
-            ) & crit.I_set([chain_vertex(1, k)], N, tree, space, horizon)
+        u_times, v_times = (
+            crit.I_sets([chain_vertex(branch, k)], ladder, tree, space, horizon)
+            for branch in (0, 1)
+        )
+        for N, u, v in zip(ladder, u_times, v_times):
+            inter = u & v
             rows.append((k, N, len(inter)))
             ok = ok and not inter
     text = (
@@ -317,11 +327,12 @@ def _example_7_2_not_hc(space, horizon, exact):
 
 @dataclass(frozen=True)
 class Reproduction:
-    """A scripted reproduction: its CSV columns, its default --horizon, and
-    its function of (space, horizon, exact) to (passed, text, CSV rows)."""
+    """A scripted reproduction: its CSV columns, its default --horizon (None
+    for one at fixed times, which takes no --horizon), and its function of
+    (space, horizon, exact) to (passed, text, CSV rows)."""
 
     header: tuple[str, ...]
-    horizon: int
+    horizon: Optional[int]
     run: Callable
 
 
@@ -331,13 +342,15 @@ REPRODUCTIONS = {
     "example_7_1_limit_point_not_hc": Reproduction(
         ("n", "q_root"), 64, _example_7_1_limit_point_not_hc),
     "example_7_2_orbit": Reproduction(
-        ("k", "n", "residual", "analytic"), 64, _example_7_2_orbit),
+        ("k", "n", "residual", "analytic"), None, _example_7_2_orbit),
     "example_7_2_not_hc": Reproduction(("n", "q_u1", "j_u1"), 64, _example_7_2_not_hc),
 }
 
 
 def _reproduce(args):
     repro = REPRODUCTIONS[args.name]
+    if repro.horizon is None and args.horizon is not None:
+        raise TreeSpecError(f"reproduce {args.name} takes no --horizon: its times are fixed")
     horizon = repro.horizon if args.horizon is None else args.horizon
     ok, text, rows = repro.run(args.space, horizon, args.exact)
     return 0 if ok else 1, text, lambda: rows
@@ -385,6 +398,7 @@ _CONVERT = {
     "--ancestry": _count,
     "--u-radius": _radius,
     "--v-radius": _radius,
+    "--slack": _slack,
 }
 
 
@@ -463,7 +477,8 @@ def main(argv=None) -> int:
         try:
             setattr(args, dest, convert(value))
         except (ArithmeticError, ValueError, TreeShiftError) as exc:
-            print(f"error: {flag} {value}: {exc}", file=sys.stderr)
+            reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            print(f"error: {flag} {value}: {reason}", file=sys.stderr)
             return 2
     command = _COMMANDS[args.command]
     header = command.header

@@ -12,20 +12,26 @@ every verdict is horizon-stamped rather than asserted as a true limit.
 
 Public functions check the vertices they are given.  The reports read each
 sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
-n = 0..horizon; the floor of a sample set is the elementwise min of its rows,
-and every rung's time set is one threshold of that floor.  On a tree with
-vertex types a j row follows the spine: the fiber below p^(n+1)(v) is the one
-below p^n(v) merged with the fibers below its siblings.
+n = 0..horizon; the floor of a sample set is the elementwise min of its rows.
+On a tree with vertex types a row is one sweep: the (type, count) levels
+below v are swept once for n = 0..horizon, each n resuming from the level
+left by n - 1 (`trees._fiber_types`), and a j row follows the spine, the
+fiber below p^(n+1)(v) being the one below p^n(v) merged with the fibers
+below its siblings.  Each level is massed once per tree, wherever it lies
+(`spaces._level_mass`).  All the rungs of a ladder are thresholded in one
+pass over a floor (`_rung_times`): each entry is placed among the sorted
+thresholds by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptyIndexSetError, RootedTreeError
 from .families import FamilySpec, Verdict, family_verdict, generated_filter, infinite_family
-from .spaces import SpaceSpec, fiber_mass, to_float
+from .spaces import SpaceSpec, _level_mass, fiber_mass, to_float
 from .trees import (
     ANCHOR,
     TreeModel,
@@ -51,14 +57,13 @@ def _checked(vertices: Iterable, tree: TreeModel) -> list[VertexAddress]:
 
 def _j_parts(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> tuple:
     """The parts of j(v, n) on an unrooted tree: ``(mu(p^n v), q-mass of
-    Chi^n(p^n v))``.  The mass is `fiber_mass`'s, so vertices whose spines
-    meet share it.  On a tree with vertex types a new one is read from the
-    level that the spine recurrence (`trees._spine_fiber`) leaves in the
-    sweep memo."""
-    s = _p_n(v, n, tree)
-    if tree.types is not None and (s, n, spec.dual) not in tree.fiber_masses:
-        _spine_fiber(v, n, tree)
-    return tree.weight(s), fiber_mass(tree, s, n, spec)[1]
+    Chi^n(p^n v))``.  On a tree with vertex types the fiber is the level of
+    the spine recurrence (`trees._spine_fiber`)."""
+    if tree.types is None:
+        s = _p_n(v, n, tree)
+        return tree.weight(s), fiber_mass(tree, s, n, spec)[1]
+    s, level = _spine_fiber(v, n, tree)
+    return tree.weight(s), _level_mass(tree, level, spec.dual)[1]
 
 
 def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1):
@@ -107,19 +112,39 @@ def _floor(rows: Sequence[list]) -> Optional[list]:
     return [min(col) for col in zip(*rows)] if rows else None
 
 
-def _times(floor: Optional[list], N, spec: SpaceSpec, horizon: int) -> set[int]:
-    """The time set of one rung: the n <= horizon where the floor exceeds N
-    (every such n for the floor of an empty set)."""
-    N_pow = spec.dual.threshold(N)
+def _rung_times(floor: Optional[list], ladder: Sequence, spec: SpaceSpec,
+                horizon: int) -> list[set[int]]:
+    """The time set of every rung N of ``ladder``, in ladder order: the
+    n <= horizon where the floor exceeds N (every such n for the floor of an
+    empty set).  Each floor entry is placed once among the distinct
+    thresholds, sorted, by bisection; the times of a rung are the entries
+    placed above its threshold.  A NaN threshold, which nothing exceeds, is
+    left out of the sort."""
+    thresholds = [spec.dual.threshold(N) for N in ladder]
     if floor is None:
-        return set(range(horizon + 1))
-    return {n for n, m in enumerate(floor) if m > N_pow}
+        return [set(range(horizon + 1)) for _ in thresholds]
+    ranks = sorted({t for t in thresholds if t == t})
+    placed = [[] for _ in range(len(ranks) + 1)]  # by the number of thresholds exceeded
+    for n, m in enumerate(floor):
+        placed[bisect_left(ranks, m)].append(n)
+    above, exceeding = {}, set()
+    for i in range(len(ranks), 0, -1):
+        exceeding = exceeding.union(placed[i])
+        above[ranks[i - 1]] = exceeding
+    return [set(above.get(t, ())) for t in thresholds]
 
 
 def I_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     """Times n <= horizon with q(v, n) > N for every v in the finite set F."""
+    return I_sets(F, [N], tree, spec, horizon)[0]
+
+
+def I_sets(F, ladder: Sequence, tree: TreeModel, spec: SpaceSpec,
+           horizon: int) -> list[set[int]]:
+    """`I_set` of F for every rung N of ``ladder``, in ladder order, from one
+    read of each q row of F."""
     rows = [_q_row(v, tree, spec, horizon) for v in _checked(F, tree)]
-    return _times(_floor(rows), N, spec, horizon)
+    return _rung_times(_floor(rows), ladder, spec, horizon)
 
 
 def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
@@ -127,7 +152,7 @@ def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     if tree.rooted:
         raise RootedTreeError("J_set is defined on unrooted trees")
     rows = [_j_row(v, tree, spec, horizon) for v in _checked(F, tree)]
-    return _times(_floor(rows), N, spec, horizon)
+    return _rung_times(_floor(rows), [N], spec, horizon)[0]
 
 
 def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: int):
@@ -305,11 +330,10 @@ def dynamics_report(
     for F in sample_sets:
         verts = tuple(sorted(F))
         q_floor, j_floor, floor = _floors(verts, q_rows, j_rows)
-        rungs = []
-        for N in ladder:
-            times = _times(floor, N, spec, horizon)
-            verdict = family_verdict(times, fam, horizon)
-            rungs.append(RungResult(N, tuple(sorted(times)), verdict))
+        rungs = [
+            RungResult(N, tuple(sorted(times)), family_verdict(times, fam, horizon))
+            for N, times in zip(ladder, _rung_times(floor, ladder, spec, horizon))
+        ]
         q_sup = _value(max(q_floor), spec)
         j_sup = None if j_floor is None else _value(max(j_floor), spec)
         entries.append(SampleSetResult(verts, tuple(rungs), q_sup, j_sup))
@@ -359,13 +383,6 @@ def gamma_powers(ratio) -> GammaSpec:
     return GammaSpec(
         lambda k: ratio ** k, f"powers {ratio}^k", bounded=abs(ratio) <= 1
     )
-
-
-def _gamma_fiber_exceeds(v, n, lam, R, tree, spec) -> bool:
-    """Scaled fiber display: the p*-mass of |lam|/|mu_u| over Chi^n(v),
-    compared with R."""
-    dual = spec.dual
-    return dual.power(lam) * fiber_mass(tree, v, n, spec)[1] > dual.threshold(R)
 
 
 @dataclass
@@ -461,23 +478,31 @@ def supercyclicity_report(
             leaf_witness=leaf,
         )
 
-    # the first (n, k) that reaches each rung in turn
+    # The first (n, k) that reaches each rung in turn: both scaled displays,
+    # the p*-masses of |lambda_k|/|mu_u| over Chi^n(v) and of the spine
+    # terms, exceed R at every sampled vertex.  lambda_k and its power are
+    # read once, when the scan first reaches k.
+    dual = spec.dual
     achieved = []
-    rungs = iter(ladder)
-    R = next(rungs, None)
+    rungs = ((R, dual.threshold(R)) for R in ladder)
+    R, R_pow = next(rungs, (None, None))
+    scales = []  # (lambda_k, |lambda_k|^p*) for k < len(scales)
     for n in range(1, horizon + 1):
         if R is None:
             break
         spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
+        fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
         for k in range(horizon + 1):
-            lam = gamma.at(k)
+            if k == len(scales):
+                lam = gamma.at(k)
+                scales.append((lam, dual.power(lam)))
+            lam, lam_pow = scales[k]
             if all(
-                _gamma_fiber_exceeds(v, n, lam, R, tree, spec)
-                and _j_term(*parts, spec, lam) > spec.dual.threshold(R)
-                for v, parts in zip(sample_verts, spine)
+                lam_pow * fiber > R_pow and _j_term(*parts, spec, lam) > R_pow
+                for fiber, parts in zip(fibers, spine)
             ):
                 achieved.append((R, n, k, lam))
-                R = next(rungs, None)
+                R, R_pow = next(rungs, (None, None))
                 break
     failed_rung = R
 
@@ -515,6 +540,7 @@ class LimitPointReport:
     shifted_ok: Optional[dict]  # rooted: l -> diverging of q(v, n+l)
     decay: Optional[list[DecayObservation]]  # unrooted spine-decay evidence
     sample: list[VertexAddress]
+    q_rows: dict[VertexAddress, list]  # the q-mass rows the report read
     tree: TreeModel
     spec: SpaceSpec
 
@@ -544,10 +570,14 @@ class LimitPointReport:
         return "\n".join(lines)
 
     def csv_rows(self):
+        """(vertex, n, q_value) rows for plotting; only the rows the report
+        did not read are read here."""
         rows = []
         for v in self.sample:
-            for n, m in enumerate(_q_row(v, self.tree, self.spec, self.horizon)):
-                rows.append((format_address(v), n, _value(m, self.spec)))
+            row = self.q_rows.get(v)
+            if row is None:
+                row = _q_row(v, self.tree, self.spec, self.horizon)
+            rows.extend((format_address(v), n, _value(m, self.spec)) for n, m in enumerate(row))
         return rows
 
 
@@ -569,15 +599,18 @@ def limit_point_report(
     point, and its failure is reported with the observed limiting value.
     """
     sample_verts = _sample_vertices(sample, tree)
+    q_rows = {}
     found, vals, found_records = _diverging_vertex(
-        ((v, _q_row(v, tree, spec, horizon)) for v in sample_verts), spec
+        ((v, q_rows.setdefault(v, _q_row(v, tree, spec, horizon))) for v in sample_verts), spec
     )
     found_values = [vals[n] for n in found_records]
 
     root_div = shifted = decay = None
     status = "fails"
     if tree.rooted:
-        root_vals = [_value(m, spec) for m in _q_row(ANCHOR, tree, spec, horizon)]
+        if ANCHOR not in q_rows:
+            q_rows[ANCHOR] = _q_row(ANCHOR, tree, spec, horizon)
+        root_vals = [_value(m, spec) for m in q_rows[ANCHOR]]
         root_div = bool(_diverging_records(root_vals))
         if found is not None:
             status = "holds"
@@ -613,6 +646,7 @@ def limit_point_report(
         shifted_ok=shifted,
         decay=decay,
         sample=sample_verts,
+        q_rows=q_rows,
         tree=tree,
         spec=spec,
     )
@@ -634,7 +668,6 @@ def transitivity_filter_base(
     for verts in sets:
         floor = _floors(verts, q_rows, j_rows)[2]
         label_f = "{" + ",".join(format_address(v) for v in verts) + "}"
-        for N in thresholds:
-            times = _times(floor, N, spec, horizon)
+        for N, times in zip(thresholds, _rung_times(floor, thresholds, spec, horizon)):
             bases.append((f"I({label_f},{N})", frozenset(times)))
     return generated_filter(bases)

@@ -178,12 +178,21 @@ def witness_return(
     f = I_n(center_U) + S_n(center_V).
 
     Returns the witness vector when both norm checks pass (radii shrunk by the
-    relative ``slack``), else None.  Failure only means this witness family did
-    not certify n, never that n is outside the return set.
+    relative ``slack``, which must satisfy 0 <= slack < 1), else None.
+    Failure only means this witness family did not certify n, never that n is
+    outside the return set.
     """
+    _check_slack(slack)
     _check_support(U.center, tree)
     _check_support(V.center, tree)
     return _witness_return(n, U, V, tree, slack)
+
+
+def _check_slack(slack: float) -> None:
+    """ValueError unless the radii that ``slack`` shrinks by ``1 - slack``
+    stay positive and no larger."""
+    if not 0 <= slack < 1:
+        raise ValueError("slack must satisfy 0 <= slack < 1")
 
 
 def _witness_return(n, U, V, tree, slack) -> Optional[SparseVector]:
@@ -241,6 +250,9 @@ def return_set_report(
     tree: TreeModel,
     slack: float = 1e-6,
 ) -> ReturnSetReport:
+    """`witness_return` for n = 0..horizon, sorted into certified and
+    uncertified times."""
+    _check_slack(slack)
     _check_support(U.center, tree)
     _check_support(V.center, tree)
     report = ReturnSetReport(horizon=horizon)

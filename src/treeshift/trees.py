@@ -116,9 +116,12 @@ class TreeModel:
     ``tree.arity(v)`` and ``tree.weight(v)`` take addresses either way; they
     and the rules on types (``type_weight``, ``child_types``) are memoised,
     and instances are safe to share across threads.
-    ``fiber_masses``, ``fiber_levels`` and ``spine_levels`` memoise fiber
-    masses, the last level swept below each type, and the last step of the
-    spine recurrence from each vertex.
+    ``fiber_masses`` memoises fiber masses (`spaces.fiber_mass`): with
+    vertex types under ``(dual, tuple(level.items()))``, the (type, count)
+    pairs of a level in sweep order, so that equal levels are massed once;
+    without them under ``(v, n, dual)``.  ``fiber_levels`` and
+    ``spine_levels`` memoise the last level swept below each vertex and the
+    last step of the spine recurrence from each vertex.
     """
 
     fiber_profile = None  # read by perfbench/tracer.py, which wraps it when set

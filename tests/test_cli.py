@@ -2,6 +2,7 @@
 
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import treeshift as ts
 from treeshift import cli, criteria
 from treeshift.cli import main
 from treeshift.shifts import return_set_report
+from treeshift.spaces import DualExponent
 
 
 def run_cli(*argv, capsys=None):
@@ -175,21 +177,46 @@ def test_criteria_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _count_calls(monkeypatch, owner, *names) -> Counter:
+    """Count the calls of ``owner.<name>`` for each name, by first argument."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _original=getattr(owner, name)):
+            calls[args[0]] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
-    reads = []
-    fiber_mass = criteria.fiber_mass
-
-    def counted(*args):
-        reads.append(args)
-        return fiber_mass(*args)
-
-    monkeypatch.setattr(criteria, "fiber_mass", counted)
+    """The report reads each sampled vertex's q row once, 7,007 fiber-mass
+    reads counting memo hits, and masses each distinct fiber level once:
+    1001 levels below the root and 1003 along each chain.  The CSV writes the
+    rows the report read and reads no mass again."""
+    reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
+    masses = _count_calls(monkeypatch, DualExponent, "mass")
     args = ["criteria", "--preset", "example_4_1", "--horizon", "1000"]
     assert main(args) == 0
-    assert len(reads) == 7007
+    assert (reads.total(), masses.total()) == (7007, 3007)
+    reads.clear()
+    masses.clear()
+    assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
+    assert (reads.total(), masses.total()) == (7007, 3007)
+
+
+def test_limit_point_csv_reads_only_rows_the_report_did_not(tmp_path, monkeypatch, capsys):
+    """The report stops at the diverging root; the CSV reads each other
+    sampled vertex's row once and none twice."""
+    rows = _count_calls(monkeypatch, criteria, "_q_row")
+    reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
+    args = ["limit-point", "--preset", "example_4_1", "--horizon", "1000"]
+    assert main(args) == 0
+    assert (rows, reads.total()) == ({ts.ANCHOR: 1}, 1001)
+    rows.clear()
     reads.clear()
     assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
-    assert len(reads) == 7007
+    assert (rows.total(), len(rows), reads.total()) == (7, 7, 7007)
 
 
 def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):
@@ -231,6 +258,11 @@ _CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
     pytest.param("return-set", "argv", "--u-radius -1", id="negative-radius"),
     pytest.param("return-set", "argv", "--u-radius 0", id="zero-u-radius"),
     pytest.param("return-set", "argv", "--v-radius 0", id="zero-v-radius"),
+    pytest.param("return-set", "argv", "--slack -1", id="negative-slack"),
+    pytest.param("return-set", "argv", "--slack 1", id="slack-one"),
+    pytest.param("criteria", "argv", "--space 1/0", id="space-zero-denominator"),
+    pytest.param("supercyclic", "argv", "--gamma powers:1/0", id="gamma-zero-denominator"),
+    pytest.param("reproduce", "argv", "--horizon 5", id="reproduce-fixed-times-horizon"),
     *(pytest.param(command, "removed", text, id=f"{command}-takes-no-{text.split()[0][2:]}")
       for command, text in [
           ("validate", "--space 2"), ("validate", "--horizon 5"), ("norm", "--horizon 5"),
@@ -244,9 +276,10 @@ _CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, kind, text):
     """Malformed addresses, counts, scalars and flag values exit 2 with one
-    error line, and an address that does not parse raises
-    InvalidAddressError.  A flag the subcommand does not take exits 2 through
-    argparse."""
+    error line (so does --horizon on example_7_2_orbit, which runs at the
+    fixed times n = 2^k - 1, k = 1..6), and an address that does not parse
+    raises InvalidAddressError.  A flag the subcommand does not take exits 2
+    through argparse."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     if kind == "vector":
@@ -268,7 +301,9 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, kind, text)
         return
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if "/0" in text:
+        assert err == f"error: {text}: zero denominator\n"
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
+from treeshift import criteria
 from treeshift.presets import chain_vertex
+
+from conftest import SPACES
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
@@ -84,6 +87,15 @@ def test_I_set_full_binary(binary):
     assert ts.I_set([VA(0)], 2, binary, L2, 10) == set(range(3, 11))
 
 
+def test_I_sets_give_each_rung_its_I_set(ex41):
+    """A whole ladder, unsorted and with a repeated rung, in ladder order."""
+    ladder = (4, 1, 2, 2, Fraction(1, 2))
+    for F in ([chain_vertex(0, 1)], [chain_vertex(0, 2), chain_vertex(1, 2)], []):
+        got = ts.I_sets(F, ladder, ex41, L2, 12)
+        assert got == [ts.I_set(F, N, ex41, L2, 12) for N in ladder]
+    assert ts.I_sets([chain_vertex(0, 1)], ladder, ex41, L2, 12)[2] == {5, 6, 7, 8, 9}
+
+
 def test_J_set_example_7_2(ex72):
     u1 = chain_vertex(0, 1)
     assert ts.J_set([u1], 2, ex72, L2, 50) == set(range(51))
@@ -105,6 +117,35 @@ def test_I_set_algebra(seed, N1, N2):
     ) & ts.I_set(F2, N1, tree, L2, horizon)
     lo, hi = min(N1, N2), max(N1, N2)
     assert ts.I_set(F1, hi, tree, L2, horizon) <= ts.I_set(F1, lo, tree, L2, horizon)
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 5000),
+    st.fractions(-3, 5000, max_denominator=64),
+    st.floats(-3, 5000),
+    st.sampled_from([math.inf, 0, 1, 2, 2.0, Fraction(2), Fraction(3, 2), 4096]),
+)
+
+
+@given(
+    floor=st.one_of(st.none(), st.lists(_SCALARS, min_size=1, max_size=40)),
+    ladder=st.lists(st.one_of(_SCALARS, st.just(math.nan)), max_size=10),
+    spec=st.sampled_from(SPACES),
+)
+@settings(max_examples=200, deadline=None)
+def test_rung_times_equal_per_rung_thresholds(floor, ladder, spec):
+    """One bisection pass gives every rung the time set of its own threshold
+    test, for unsorted ladders with repeated (or NaN) rungs and floors mixing
+    ints, Fractions, floats and inf; the floor of an empty set is None."""
+    horizon = 12 if floor is None else len(floor) - 1
+    want = [
+        set(range(horizon + 1)) if floor is None
+        else {n for n, m in enumerate(floor) if m > spec.dual.threshold(N)}
+        for N in ladder
+    ]
+    got = criteria._rung_times(floor, ladder, spec, horizon)
+    assert got == want
+    assert len({id(times) for times in got}) == len(got)  # no set is shared
 
 
 def test_dynamics_report_full_binary_satisfied(binary):
@@ -196,6 +237,29 @@ def test_supercyclicity_spine_with_growing_scalars():
     assert report.satisfied
     ns = [n for _, n, _, _ in report.achieved]
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
+
+
+def test_supercyclicity_reads_each_scalar_once_and_only_where_reached():
+    """lambda_k is read once per k the scan reaches; a Gamma that is 0 past
+    them (which `GammaSpec.at` refuses) still runs."""
+    tree = ts.bi_infinite_path(lambda d: 2.0 ** -abs(d))
+    reads = []
+
+    def powers(k):
+        reads.append(k)
+        return 16 ** k if k <= 1 else 0
+
+    gamma = ts.GammaSpec(powers, "16^k, then 0", bounded=False)
+    report = ts.supercyclicity_report(tree, L2, gamma, horizon=40, ladder=(1,))
+    assert report.satisfied and report.achieved == [(1, 1, 1, 16)]
+    assert reads == [0, 1]
+
+    reads.clear()
+    gamma = ts.GammaSpec(lambda k: reads.append(k) or 16 ** k, "16^k", bounded=False)
+    report = ts.supercyclicity_report(tree, L2, gamma, horizon=40)
+    assert report.achieved == ts.supercyclicity_report(
+        tree, L2, ts.gamma_powers(16), horizon=40).achieved
+    assert reads == list(range(41))
 
 
 def test_supercyclicity_unweighted_spine_fails():

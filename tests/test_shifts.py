@@ -235,3 +235,15 @@ def test_return_set_report(binary):
     for n, w in report.certified.items():
         assert ts.norm(w - ball.center, L2, binary) < 0.5
         assert ts.norm(ts.apply_B_pow(w, n, binary) - ball.center, L2, binary) < 0.5
+
+
+@pytest.mark.parametrize("slack", [-1, -1e-9, 1, 1.5, math.nan])
+def test_return_slack_outside_unit_interval_is_rejected(binary, slack):
+    """The radii are shrunk by 1 - slack: a slack below 0 would widen them
+    and certify times the balls do not support, one of 1 or more leaves no
+    ball at all."""
+    ball = ts.BallSpec(ts.basis(VA(0)), 0.5, L2)
+    with pytest.raises(ValueError, match="slack"):
+        ts.witness_return(3, ball, ball, binary, slack)
+    with pytest.raises(ValueError, match="slack"):
+        ts.return_set_report(ball, ball, 4, binary, slack)

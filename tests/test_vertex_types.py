@@ -1,7 +1,7 @@
-"""Vertex types: fiber masses swept by type, j rows built by the spine
-recurrence and operator norms walked by type must equal the vertex-by-vertex
-results on a type-free copy of the tree.  The level-wise `chi_n` must equal a
-depth-first walk on the same generated trees."""
+"""Vertex types: fiber masses and q rows swept by type, j rows built by the
+spine recurrence and operator norms walked by type must equal the
+vertex-by-vertex results on a type-free copy of the tree.  The level-wise
+`chi_n` must equal a depth-first walk on the same generated trees."""
 
 from __future__ import annotations
 
@@ -96,6 +96,10 @@ def test_type_sweep_and_walk_equal_enumeration(data):
     tree = parse_tree_spec(data.draw(spec_documents())).source
     verts = _vertices(data.draw, tree)
     plain = assert_sweep_equals_enumeration(tree, verts)
+    for spec in SPACES:  # a q row is one sweep over the type levels below v
+        for v in verts:
+            want = outcome(lambda: [ts.fiber_mass(plain, v, n, spec)[1] for n in range(11)])
+            assert outcome(lambda: criteria._q_row(v, tree, spec, 10)) == want, (v, spec)
     tree.fiber_masses.clear()  # n below the swept level: the sweep restarts
     for v in verts:
         got = outcome(lambda: ts.fiber_mass(tree, v, 3, SPACES[1]))
