@@ -16,6 +16,7 @@ from .errors import (
     TreeShiftError,
     TreeSpecError,
     UnknownPresetError,
+    WorkBudgetError,
 )
 from .trees import (
     ANCHOR,

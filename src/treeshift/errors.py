@@ -25,6 +25,10 @@ class CriterionTooWeakError(TreeShiftError):
     """No term of a vector synthesis could meet its budget at this truncation."""
 
 
+class WorkBudgetError(TreeShiftError):
+    """A construction would materialise more entries than its work budget."""
+
+
 class UnknownPresetError(TreeShiftError):
     """A preset name is not in the catalog."""
 

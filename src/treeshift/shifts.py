@@ -9,8 +9,8 @@ infinite trees that value is a certified lower bound.
 
 Public functions check the addresses of the vectors they are given; vectors
 built here (B-iterates, witnesses) go through the unchecked kernels.  B^n
-results and orbit copies hold no zeros by construction, so they are wrapped
-without the `SparseVector` constructor's zero filter.
+and S results and orbit copies hold no zeros by construction, so they are
+wrapped without the `SparseVector` constructor's zero filter.
 """
 
 from __future__ import annotations
@@ -37,15 +37,8 @@ def apply_B(f: SparseVector, tree: TreeModel) -> SparseVector:
 def apply_S(f: SparseVector, tree: TreeModel) -> SparseVector:
     """(Sf)(v) = f(parent(v)); on basis vectors S e_v spreads over Chi(v)."""
     _check_support(f, tree)
-    acc: dict[VertexAddress, object] = {}
-    for v, x in f.items():
-        for c in _children(v, tree):
-            y = acc.get(c, 0) + x
-            if y == 0:
-                acc.pop(c, None)
-            else:
-                acc[c] = y
-    return SparseVector(acc)
+    # the children of distinct vertices are distinct: each value is stored as it is
+    return _vector({c: x for v, x in f.items() for c in _children(v, tree)})
 
 
 def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
@@ -59,8 +52,9 @@ def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
 def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     """``apply_B_pow`` of a vector whose support is already known to be valid.
 
-    One pass in the order of f: each target's sum is accumulated in that
-    order, and a sum that cancels to zero is dropped on the spot."""
+    One pass in the order of f: the first value that reaches a target is
+    stored as it is, each later one is added to it, and a sum that cancels
+    to zero is dropped on the spot."""
     if n == 0:
         return _vector(dict(f.items()))
     rooted = tree.rooted
@@ -75,9 +69,11 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
             continue
         else:
             target = tuple.__new__(VertexAddress, (up + (n - depth), ()))
-        y = get(target, 0) + x
-        if y == 0:
-            acc.pop(target, None)
+        y = get(target)
+        if y is None:
+            acc[target] = x
+        elif (y := y + x) == 0:
+            del acc[target]
         else:
             acc[target] = y
     return _vector(acc)

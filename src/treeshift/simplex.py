@@ -33,6 +33,7 @@ from .errors import (
     EmptyFiberError,
     EmptyIndexSetError,
     RootedTreeError,
+    WorkBudgetError,
 )
 from .spaces import (
     DualExponent,
@@ -44,7 +45,20 @@ from .spaces import (
     fiber_mass,
     to_float,
 )
-from .trees import ANCHOR, TreeModel, Truncation, VertexAddress, _typed_fiber, chi_n, p_n
+from .trees import (
+    ANCHOR,
+    TreeModel,
+    Truncation,
+    VertexAddress,
+    _fiber_types,
+    _typed_fiber,
+    chi_n,
+    p_n,
+)
+
+# The most entries one term of `build_recurrent_vector` may have (a fiber
+# of 2^22 vertices): each entry is a materialised address and value.
+MAX_TERM_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -290,6 +304,9 @@ def build_recurrent_vector(
     trees), every certificate re-verifies its residual by direct evaluation.
 
     The vector and the terms' g_j are materialised `SparseVector`s.  On a
+    tree with vertex types, a term whose fiber has more than
+    ``MAX_TERM_ENTRIES`` vertices raises `WorkBudgetError` before it is
+    built; the count comes from the fiber's (type, count) level.  On a
     tree with vertex types and for p > 1 or c0, the term norms and residuals
     are computed per (level, type) (`_typed_residuals`), with the sums and
     order of evaluating B^(n_j) f - e_root entry by entry.  In l^1, where
@@ -324,6 +341,13 @@ def build_recurrent_vector(
             inf_n = math.inf if mass is None else to_float(dual.infimum(mass))
             skipped.append((n, inf_n, allowance))
             continue
+        if tree.types is not None:  # the fiber's size from its (type, count) level
+            size = sum(_fiber_types(ANCHOR, n, tree).values())
+            if size > MAX_TERM_ENTRIES:
+                raise WorkBudgetError(
+                    f"the term for n = {n} would have {size:,} entries, "
+                    f"above the budget of {MAX_TERM_ENTRIES:,}"
+                )
         g, description = _right_inverse(ANCHOR, n, tree, spec)
         if description is None:
             g_norm = _norm(g, spec, tree)
@@ -384,10 +408,13 @@ def _typed_residuals(terms, described, tree: TreeModel, spec: SpaceSpec) -> list
     On a rooted tree B^(n_t) sends the earlier terms to 0, term t to its
     total mass at the root and a later term l to level n_l - n_t, where a
     vertex of type s receives the sum of term l's values along the types of
-    Chi^(n_t)(s).  Each sum is the left-to-right ``+`` fold from 0 that
-    `shifts.apply_B_pow` accumulates, computed once per (s, n_t), and the
-    entries are listed as B^(n_t) f - e_root lists them: the root (dropped
-    when its value is 0), then each later term's level depth-first."""
+    Chi^(n_t)(s).  Each sum is the fold that `shifts.apply_B_pow`
+    accumulates: the first value as it is, then ``+`` each later one, left
+    to right (its drop of a sum that cancels to 0 and re-insert of the next
+    value gives the same result, as 0 + x is x).  It is computed once per
+    (s, n_t), and the entries are listed as B^(n_t) f - e_root lists them:
+    the root (dropped when its value is 0), then each later term's level
+    depth-first."""
     child_types = tree.child_types
     below: dict = {}  # (s, n) -> the types of Chi^n(s), depth-first
 
@@ -401,12 +428,13 @@ def _typed_residuals(terms, described, tree: TreeModel, spec: SpaceSpec) -> list
         return got
 
     def fold(values: dict, kinds):
-        return reduce(operator.add, _along(values, kinds), 0)
+        terms = _along(values, kinds)
+        return reduce(operator.add, terms, next(terms, 0))
 
     top = tree.type_of(ANCHOR)
     residuals = []
     for i, (t, (kinds, values)) in enumerate(zip(terms, described)):
-        root = fold(values, kinds) + (-1)  # B^(n_t) g_t - e_root, at the root
+        root = fold(values, kinds) - 1  # B^(n_t) g_t - e_root, at the root
         parts = [_typed_terms([top], {top: root} if root != 0 else {}, tree, spec)]
         for later, (_, later_values) in zip(terms[i + 1:], described[i + 1:]):
             level = types_below(top, later.n - t.n)

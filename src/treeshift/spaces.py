@@ -6,17 +6,27 @@ floats everything degrades gracefully to double precision.  Only the final
 p-th root forces a float.
 
 `DualExponent` resolves its exponent once, when it is built, so that the
-per-entry ``power`` of a norm or a fiber is one ``**``.  A `SparseVector`
-never stores a zero: its constructor filters them out of whatever it is given,
-while vectors the library builds from dicts that already hold none (sums,
-scalar multiples, ``simplex.build_Sn`` and the merged recurrent vector, B^n
-results and orbit copies in ``shifts``) are wrapped by `_vector` without the
-copy and the filter.
+per-entry ``power`` of a norm or a fiber is one ``**``.  The mass of a norm
+(`DualExponent.weighted_mass`) reads each weight by vertex type.  With int
+and Fraction entries and weights and an exponent of 1 or an integer, it is
+summed as Python ints over one common denominator (`_rational_sum`), and
+one Fraction is built at the end; any other input is summed term by term,
+left to right, as ``sum`` does.
+
+A `SparseVector` never stores a zero: its constructor filters them out of
+whatever it is given, while vectors the library builds from dicts that
+already hold none (sums, differences, scalar multiples, ``simplex.build_Sn``
+and the merged recurrent vector, B^n and S results and orbit copies in
+``shifts``) are wrapped by `_vector` without the copy and the filter.  Sums
+store the first value that reaches an address as it is and add only when a
+second one reaches it, so an entry is built once per addition, not per
+address.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -126,6 +136,18 @@ class DualExponent:
         """Sum of the powered terms, or their max for r = inf (0 if none)."""
         return max(terms, default=0) if self.is_max else sum(terms)
 
+    def weighted_mass(self, values, weights):
+        """``combine`` of the powered terms |x w|^r of the paired ``values``
+        and ``weights`` (two sequences): the mass of a norm.  For r = 1 or an
+        integer r, int and Fraction inputs are summed by `_rational_sum`,
+        equal in value and type to the sum of the terms; other inputs are
+        combined term by term, left to right."""
+        if self._exact:
+            mass = _rational_sum(values, weights, self._exponent)
+            if mass is not None:
+                return mass
+        return self.combine(map(self.power, map(operator.mul, values, weights)))
+
     def root(self, mass):
         """The r-th root of a mass as a float; the mass itself for r = 1, inf."""
         return mass if self.plain else to_float(mass) ** self._inverse
@@ -157,6 +179,32 @@ class DualExponent:
         if self.r == 1:
             return 1 / mass
         return to_float(mass) ** (-1.0 / float(self.r))
+
+
+_RATIONAL = {int, Fraction}
+
+
+def _rational_sum(values, weights, e: int):
+    """sum |x w|^e over paired values and weights that are all ints or
+    Fractions, or None when one is of another type.  The terms are added as
+    Python ints over one common denominator, which grows by the part of a
+    term's denominator it lacks, and one Fraction is built at the end: equal
+    in value and type (int when every input is an int) to ``sum`` of the
+    Fraction terms."""
+    types = set(map(type, values))
+    types.update(map(type, weights))
+    if not types <= _RATIONAL:
+        return None
+    num, den = 0, 1
+    gcd = math.gcd
+    for x, w in zip(values, weights):
+        a = abs(x.numerator * w.numerator) ** e
+        b = (x.denominator * w.denominator) ** e
+        if den % b:
+            scale = b // gcd(den, b)
+            num, den = num * scale, den * scale
+        num += a * (den // b)
+    return Fraction(num, den) if Fraction in types else num
 
 
 @dataclass(frozen=True)
@@ -259,16 +307,29 @@ class SparseVector:
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         d = dict(self._entries)
+        get = d.get
         for v, x in other.items():
-            y = d.get(v, 0) + x
-            if y == 0:
-                d.pop(v, None)
+            y = get(v)
+            if y is None:  # the first value at v is stored as it is
+                d[v] = x
+            elif (y := y + x) == 0:
+                del d[v]
             else:
                 d[v] = y
         return _vector(d)
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
-        return self + (-1) * other
+        d = dict(self._entries)
+        get = d.get
+        for v, x in other.items():
+            y = get(v)
+            if y is None:
+                d[v] = -x
+            elif (y := y - x) == 0:
+                del d[v]
+            else:
+                d[v] = y
+        return _vector(d)
 
     def __neg__(self) -> "SparseVector":
         return (-1) * self
@@ -321,9 +382,12 @@ def _check_support(f: SparseVector, tree: TreeModel) -> None:
 
 
 def _norm_mass(f: SparseVector, exponent: DualExponent, tree: TreeModel):
-    """The mass of the weighted entries |f(v) mu_v| for the norm's exponent."""
-    power, weight = exponent.power, tree.weight
-    return exponent.combine(power(x * weight(v)) for v, x in f.items())
+    """The mass of the weighted entries |f(v) mu_v| for the norm's exponent.
+    Each weight is read by vertex type: the addresses of a vector are
+    distinct, so a memo on addresses would only miss."""
+    entries = f._entries
+    weights = list(map(tree.type_weight, map(tree.type_of, entries)))
+    return exponent.weighted_mass(entries.values(), weights)
 
 
 def norm_powered(f: SparseVector, spec: SpaceSpec, tree: TreeModel):

@@ -18,7 +18,9 @@ and the fibers below the n-fold parents p^n(v) follow the spine recurrence
 Public functions check the addresses they are given.  Addresses the library
 generates itself (children, parents, fibers) are built with `tuple.__new__`
 and are not checked again.  `chi_n` builds a fiber level by level, which at a
-fixed depth gives the depth-first order.
+fixed depth gives the depth-first order; with vertex types it sweeps
+child-index suffixes by type and builds each address once, at the fiber's
+level (`_typed_fiber`).
 """
 
 from __future__ import annotations
@@ -302,36 +304,48 @@ def _typed_fiber(v, n: int, tree: TreeModel) -> tuple[list, list]:
     tree without vertex types each address is its own type (the two lists
     are then one list: read them only).
 
-    The fiber is built one level at a time, each level the children of the
-    previous one in order, which at a fixed depth is the depth-first order.
-    On a tree with vertex types each level carries its vertices' types, so
-    the child counts come from ``tree.child_types``, read once per type;
-    levels that hold a spine vertex go vertex by vertex."""
+    Levels that hold a spine vertex go vertex by vertex, each level the
+    children of the previous one in order, which at a fixed depth is the
+    depth-first order.  Below them, on a tree without vertex types, the
+    levels go on vertex by vertex.  With vertex types, the remaining depth
+    is split in two: the top part is swept from each start vertex and the
+    bottom part from each distinct type on the split level, as child-index
+    suffixes with their types (`_suffixes`).  Each fiber address is then
+    built once, as a top path joined to a bottom suffix."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
+    new = tuple.__new__
     level = [VertexAddress(v[0], tuple(v[1]))]
-    spine_levels = level[0].up if not level[0].path else 0
-    typed = tree.types is not None
-    type_of, child_types = tree.type_of, tree.child_types
-    kinds = list(map(type_of, level))
-    for k in range(n):
-        if k < spine_levels:  # the level holds the spine vertex (up - k; )
-            level = [c for w in level for c in _children(w, tree)]
-            kinds = list(map(type_of, level))
-            continue
-        if typed:
-            kids = list(map(child_types, kinds))
-            kinds = [c for ks in kids for c in ks]
-            counts = map(len, kids)
-        else:
-            counts = map(tree.arity, level)
-        level = [
-            tuple.__new__(VertexAddress, (w[0], w[1] + (i,)))
-            for w, a in zip(level, counts)
-            for i in range(a)
-        ]
-    return level, kinds if typed else level
+    spine_levels = min(n, 0 if level[0].path else level[0].up)
+    for _ in range(spine_levels):  # the level holds the spine vertex (up - k; )
+        level = [c for w in level for c in _children(w, tree)]
+    n -= spine_levels
+    if tree.types is None:
+        arity = tree.arity
+        for _ in range(n):
+            level = [new(VertexAddress, (w[0], w[1] + (i,))) for w in level
+                     for i in range(arity(w))]
+        return level, level
+    h = n // 2
+    top = [(w[0], w[1] + s, t) for w in level
+           for s, t in zip(*_suffixes(tree.type_of(w), n - h, tree))]
+    bottom = {t: _suffixes(t, h, tree) for t in dict.fromkeys(t for _, _, t in top)}
+    fiber = [new(VertexAddress, (up, path + s)) for up, path, t in top for s in bottom[t][0]]
+    return fiber, [k for _, _, t in top for k in bottom[t][1]]
+
+
+def _suffixes(t, n: int, tree: TreeModel) -> tuple[list, list]:
+    """``(suffixes, types)`` of the fiber n levels below a vertex of type
+    ``t``: the child-index paths from that vertex and the types at their
+    ends, in depth-first order, swept level by level over types."""
+    child_types = tree.child_types
+    suffixes, kinds = [()], [t]
+    for _ in range(n):
+        kids = list(map(child_types, kinds))
+        suffixes = [s + (i,) for s, ks in zip(suffixes, kids) for i in range(len(ks))]
+        kinds = [c for ks in kids for c in ks]
+    return suffixes, kinds
 
 
 def _remember(memo: dict, key, value) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 import treeshift as ts
 
@@ -109,3 +110,47 @@ def assert_type_contract(tree: ts.TreeModel, trunc=ts.Truncation(4, 2)) -> None:
         assert outcome(lambda: tree.child_types(t)) == kids, v
         sig = (tree.arity(v), tree.weight(v), kids)
         assert signatures.setdefault(t, sig) == sig, v
+
+
+_WEIGHTS = st.sampled_from(["1", "1/2", "2/1", "3/2", "-2/3", "5/4"])
+
+
+def _address(draw, unrooted: bool) -> str:
+    up = draw(st.integers(0, 2)) if unrooted else 0
+    path = draw(st.lists(st.integers(0, 2), max_size=3))
+    return f"({up}; {'.'.join(map(str, path))})"
+
+
+@st.composite
+def spec_documents(draw, unrooted=None) -> str:
+    """Rooted or unrooted tree-spec documents with `default` or `by_level`
+    arity, constant or geometric Fraction weights and 0-4 overrides.  The
+    spine child index may be out of range for the spine's arity."""
+    if unrooted is None:
+        unrooted = draw(st.booleans())
+    arity = ["[arity]"]
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, 3), max_size=3)) + [draw(st.integers(0, 2))]
+        arity.append("by_level = " + ",".join(map(str, levels)))
+    if len(arity) == 1 or draw(st.booleans()):
+        arity.append(f"default = {draw(st.integers(0, 2))}")
+    weights = ["[weights]"]
+    if draw(st.booleans()):
+        weights.append(f"default = {draw(_WEIGHTS)}")
+    else:
+        weights += [f"coef = {draw(_WEIGHTS)}", f"ratio = {draw(_WEIGHTS)}"]
+    overrides = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 3), _WEIGHTS),
+                              max_size=4))
+    arity_keys, weight_keys = set(), set()
+    for is_arity, count, w in overrides:
+        addr = _address(draw, unrooted)
+        if is_arity and addr not in arity_keys:
+            arity_keys.add(addr)
+            arity.append(f"{addr} = {count}")
+        elif not is_arity and addr not in weight_keys:
+            weight_keys.add(addr)
+            weights.append(f"{addr} = {w}")
+    lines = ["[tree]", f"kind = {'unrooted' if unrooted else 'rooted'}", *arity, *weights]
+    if unrooted:
+        lines += ["[spine]", f"child_index = {draw(st.integers(0, 2))}"]
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Simplex infima, optimizers, and the constructive maps built on them."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,17 @@ def test_recurrent_vector_example_4_1(ex41):
 def test_recurrent_vector_rejects_unary(unary):
     with pytest.raises(ts.CriterionTooWeakError):
         ts.build_recurrent_vector(range(1, 32), unary, L2, terms=2)
+
+
+def test_recurrent_vector_term_over_budget_is_a_typed_error():
+    # l^4/3 keeps n = 4 and 12, and its third step needs n >= 24: a fiber
+    # of 2^24 vertices, counted from its (type, count) level before it is built
+    start = time.perf_counter()
+    with pytest.raises(ts.WorkBudgetError, match=r"n = 24 would have 16,777,216 entries"):
+        ts.build_recurrent_vector(range(1, 64), ts.full_binary(), ts.SpaceSpec.ell(Fraction(4, 3)),
+                                  terms=3)
+    assert time.perf_counter() - start < 1.0
+    assert ts.simplex.MAX_TERM_ENTRIES >= 2 ** 21  # acceptance 10 builds a 2^20 fiber
 
 
 def test_recurrent_vector_needs_rooted(ex72):

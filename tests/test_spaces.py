@@ -14,10 +14,11 @@ import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift.presets import chain_vertex
 
-from conftest import random_sparse_vector
+from conftest import outcome, random_sparse_vector, spec_documents
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
+L3 = ts.SpaceSpec.ell(3)
 C0 = ts.SpaceSpec.c_zero()
 
 
@@ -263,3 +264,116 @@ def test_vector_io_round_trip():
 def test_vector_io_rejects_garbage():
     with pytest.raises(ts.InvalidAddressError):
         ts.load_vector(io.StringIO("not an address\n"))
+
+
+# The vector kernels against the accumulation they replaced, which added
+# every value to a 0 (``get(t, 0) + x``) and summed norm terms with ``sum``.
+
+_NONZERO = st.integers(-6, 6).filter(bool)
+_RATIONALS = st.one_of(_NONZERO, st.builds(Fraction, _NONZERO,
+                                           st.sampled_from([1, 3, 5, 7, 15, 21, 35])))
+_FLOATS = st.one_of(st.sampled_from([0.5, -0.5, 0.1, -0.1, 1.0, -1.0]),
+                    st.floats(-8, 8).filter(bool))
+
+
+def _accumulated(start: dict, pairs) -> dict:
+    acc = dict(start)
+    for t, x in pairs:
+        y = acc.get(t, 0) + x
+        if y == 0:
+            acc.pop(t, None)
+        else:
+            acc[t] = y
+    return acc
+
+
+def _reference_kernels(f, g, tree) -> dict:
+    out = {
+        "f + g": _accumulated(f._entries, g.items()),
+        "f - g": _accumulated(f._entries, ((v, (-1) * x) for v, x in g.items())),
+        "S f": outcome(lambda: _accumulated({}, ((c, x) for v, x in f.items()
+                                                 for c in ts.children(v, tree)))),
+    }
+    for n in range(4):
+        out[f"B^{n} f"] = _accumulated({}, ((t, x) for v, x in f.items()
+                                            if (t := ts.p_n(v, n, tree)) is not None))
+    for spec in (L1, L2, L3, C0):
+        e = spec.dual.conjugate
+        mass = e.combine(e.power(x * tree.weight(v)) for v, x in f.items())
+        out[spec.label] = e.root(mass) if f else 0
+        if spec.kind == "lp":
+            out[f"{spec.label} powered"] = mass
+    return out
+
+
+def _kernels(f, g, tree) -> dict:
+    out = {"f + g": f + g, "f - g": f - g, "S f": outcome(lambda: ts.apply_S(f, tree))}
+    for n in range(4):
+        out[f"B^{n} f"] = ts.apply_B_pow(f, n, tree)
+    for spec in (L1, L2, L3, C0):
+        out[spec.label] = ts.norm(f, spec, tree)
+        if spec.kind == "lp":
+            out[f"{spec.label} powered"] = ts.norm_powered(f, spec, tree)
+    return out
+
+
+def _exactly(value):
+    """Entries in order, each value with its type and repr (a float's repr
+    gives its bits), for vectors; type and repr for scalars."""
+    if isinstance(value, (dict, ts.SparseVector)):
+        return [(v, type(x), repr(x)) for v, x in value.items()]
+    return value if isinstance(value, type) else (type(value), repr(value))
+
+
+@st.composite
+def _vectors(draw, tree, values, near=()):
+    """Up to 10 entries at vertices reached by child steps from the anchor
+    or a spine vertex, and at some of the vertices ``near``."""
+    entries = {v: draw(values) for v in draw(st.lists(st.sampled_from(near), max_size=6))
+               } if near else {}
+    for _ in range(draw(st.integers(0, 10))):
+        v = VA(draw(st.integers(0, 2)) if tree.kind == ts.UNROOTED else 0)
+        for _ in range(draw(st.integers(0, 4))):
+            kids = outcome(lambda: ts.children(v, tree))
+            if isinstance(kids, type) or not kids:
+                break
+            v = draw(st.sampled_from(kids))
+        entries[v] = draw(values)
+    return ts.SparseVector(entries)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_vector_kernels_equal_the_accumulation_from_zero(data):
+    """norm, norm_powered, apply_B_pow, apply_S, + and - give the values of
+    the accumulation from 0 with ``sum`` for norms: rational values equal in
+    value and type, floats bit for bit, entries in the same order."""
+    name = data.draw(st.sampled_from(["full_binary", "example_4_1", "document"]))
+    if name == "document":
+        tree = ts.parse_tree_spec(data.draw(spec_documents())).source
+    else:
+        tree = ts.full_binary() if name == "full_binary" else ts.example_4_1(exact=True)
+    values = data.draw(st.sampled_from([_RATIONALS, _NONZERO, _FLOATS]))
+    f = data.draw(_vectors(tree, values))
+    g = data.draw(_vectors(tree, st.one_of(values, st.sampled_from(
+        [x for _, x in f.items()] + [-x for _, x in f.items()] or [1])), list(f.support())))
+    got, want = _kernels(f, g, tree), _reference_kernels(f, g, tree)
+    for key in want:
+        assert _exactly(got[key]) == _exactly(want[key]), key
+    if values is _NONZERO and name == "full_binary" and f:  # int weights
+        assert all(type(got[f"{spec.label} powered"]) is int for spec in (L1, L2, L3))
+
+
+def test_cancelled_float_sums_are_reinserted_last(binary):
+    """A B^2 sum that cancels to 0 is dropped, and the next value to reach
+    its target is stored after the targets met since, as it is."""
+    f = ts.SparseVector({VA(0, (0, 0, 0)): 0.1, VA(0, (0, 0, 1)): -0.1,
+                         VA(0, (1, 0, 0)): 0.3, VA(0, (0, 1, 0)): 0.7, VA(0, (0, 1, 1)): 0.2})
+    got = ts.apply_B_pow(f, 2, binary)
+    assert _exactly(got) == _exactly(_accumulated({}, ((ts.p_n(v, 2, binary), x)
+                                                      for v, x in f.items())))
+    assert list(got.items()) == [(VA(0, (1,)), 0.3), (VA(0, (0,)), 0.7 + 0.2)]
+    h = ts.SparseVector({VA(0, (0,)): 0.7}) - ts.SparseVector({VA(0, (0,)): 0.7,
+                                                              VA(0, (1,)): 0.1})
+    assert list(h.items()) == [(VA(0, (1,)), -0.1)]
+

@@ -18,52 +18,16 @@ from treeshift import VertexAddress as VA
 from treeshift import criteria
 from treeshift.shifts import _apply_B_pow
 from treeshift.spaces import _norm, to_float
-from treeshift.trees import _fiber_types, _spine_fiber
+from treeshift.trees import _fiber_types, _spine_fiber, _typed_fiber
 from treeshift.treespec import parse_tree_spec
 
-from conftest import SPACES, assert_sweep_equals_enumeration, assert_type_contract, outcome
-_WEIGHTS = st.sampled_from(["1", "1/2", "2/1", "3/2", "-2/3", "5/4"])
-
-
-def _address(draw, unrooted: bool) -> str:
-    up = draw(st.integers(0, 2)) if unrooted else 0
-    path = draw(st.lists(st.integers(0, 2), max_size=3))
-    return f"({up}; {'.'.join(map(str, path))})"
-
-
-@st.composite
-def spec_documents(draw, unrooted=None) -> str:
-    """Rooted or unrooted tree-spec documents with `default` or `by_level`
-    arity, constant or geometric Fraction weights and 0-4 overrides.  The
-    spine child index may be out of range for the spine's arity."""
-    if unrooted is None:
-        unrooted = draw(st.booleans())
-    arity = ["[arity]"]
-    if draw(st.booleans()):
-        levels = draw(st.lists(st.integers(0, 3), max_size=3)) + [draw(st.integers(0, 2))]
-        arity.append("by_level = " + ",".join(map(str, levels)))
-    if len(arity) == 1 or draw(st.booleans()):
-        arity.append(f"default = {draw(st.integers(0, 2))}")
-    weights = ["[weights]"]
-    if draw(st.booleans()):
-        weights.append(f"default = {draw(_WEIGHTS)}")
-    else:
-        weights += [f"coef = {draw(_WEIGHTS)}", f"ratio = {draw(_WEIGHTS)}"]
-    overrides = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 3), _WEIGHTS),
-                              max_size=4))
-    arity_keys, weight_keys = set(), set()
-    for is_arity, count, w in overrides:
-        addr = _address(draw, unrooted)
-        if is_arity and addr not in arity_keys:
-            arity_keys.add(addr)
-            arity.append(f"{addr} = {count}")
-        elif not is_arity and addr not in weight_keys:
-            weight_keys.add(addr)
-            weights.append(f"{addr} = {w}")
-    lines = ["[tree]", f"kind = {'unrooted' if unrooted else 'rooted'}", *arity, *weights]
-    if unrooted:
-        lines += ["[spine]", f"child_index = {draw(st.integers(0, 2))}"]
-    return "\n".join(lines) + "\n"
+from conftest import (
+    SPACES,
+    assert_sweep_equals_enumeration,
+    assert_type_contract,
+    outcome,
+    spec_documents,
+)
 
 
 def _vertices(draw, tree: ts.TreeModel) -> list:
@@ -247,10 +211,16 @@ def _sequence_or_error(f):
 
 
 def _assert_chi_n_is_depth_first(tree: ts.TreeModel, verts, depths) -> None:
+    """`chi_n` lists the depth-first walk, and on a tree with vertex types
+    the types that `_typed_fiber` gives with it (which `build_Sn` reads) are
+    the types of that walk's vertices."""
     for v in verts:
         for n in depths:
-            got = _sequence_or_error(lambda: list(ts.chi_n(v, n, tree)))
-            assert got == _sequence_or_error(lambda: _dfs_fiber(v, n, tree)), (v, n)
+            reference = _sequence_or_error(lambda: _dfs_fiber(v, n, tree))
+            assert _sequence_or_error(lambda: list(ts.chi_n(v, n, tree))) == reference, (v, n)
+            if tree.types is not None and isinstance(reference, list):
+                kinds = _typed_fiber(v, n, tree)[1]
+                assert kinds == [tree.type_of(u) for u in reference], (v, n)
 
 
 @given(st.data())
