@@ -11,6 +11,7 @@ from .errors import (
     CriterionTooWeakError,
     EmptyFiberError,
     EmptyIndexSetError,
+    FloatRangeError,
     InvalidAddressError,
     RootedTreeError,
     TreeShiftError,

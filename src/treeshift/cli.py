@@ -59,6 +59,8 @@ from .treespec import TreeSpecDocument, load_tree_spec, resolve_model
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most CSV cells: skip the isinstance chain
+        return f"{x:.12g}"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):

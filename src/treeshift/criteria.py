@@ -25,11 +25,13 @@ thresholds by bisection.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import EmptyIndexSetError, RootedTreeError
+from .errors import EmptyIndexSetError, FloatRangeError, RootedTreeError
 from .families import FamilySpec, Verdict, family_verdict, generated_filter, infinite_family
 from .spaces import SpaceSpec, _level_mass, fiber_mass, to_float
 from .trees import (
@@ -291,11 +293,13 @@ class DynamicsReport:
     def csv_rows(self):
         """(vertex, n, q_value, j_value) rows for plotting, from the mass rows
         the report thresholded."""
-        rows = []
+        rows, spec = [], self.spec
         for v, row in self.q_rows.items():
+            label = format_address(v)
+            j_row = None if self.j_rows is None else self.j_rows[v]
             for n, m in enumerate(row):
-                j = "" if self.j_rows is None else _value(self.j_rows[v][n], self.spec)
-                rows.append((format_address(v), n, _value(m, self.spec), j))
+                j = "" if j_row is None else _value(j_row[n], spec)
+                rows.append((label, n, _value(m, spec), j))
         return rows
 
 
@@ -371,6 +375,29 @@ class GammaSpec:
         return lam
 
 
+def _scale(gamma: GammaSpec, k: int, dual, spine: list, fibers: list) -> tuple:
+    """``(lambda_k, |lambda_k|^p*, |lambda_k|)`` for the displays at the
+    current n, whose (spine weight, j-mass) parts are ``spine`` and whose
+    fiber masses are ``fibers``.  Where a spine weight, a fiber mass or
+    |lambda_k|^p* is a float, the displays carry lambda_k and its power as
+    floats, so both must be finite floats; exact displays take any
+    lambda_k."""
+    lam = gamma.at(k)
+    try:
+        lam_pow = dual.power(lam)
+        floats = isinstance(lam_pow, float) or any(
+            isinstance(x, float) for x in fibers + [w for w, _ in spine])
+        in_range = not floats or (math.isfinite(lam) and math.isfinite(lam_pow))
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise FloatRangeError(f"lambda_{k} = {lam} is beyond float range")
+    s = abs(lam)
+    if isinstance(s, Fraction) and s.denominator == 1:
+        s = s.numerator  # equal, and an int compares far faster than a Fraction
+    return lam, lam_pow, s
+
+
 def gamma_constant(value=1) -> GammaSpec:
     if value == 0:
         raise ValueError("constant scalar must be nonzero")
@@ -435,6 +462,26 @@ def supercyclicity_report(
     report decides; for unbounded Gamma it is equivalent to dense range, which
     for a backward shift means the tree has no leaves (the generalized kernel
     is automatically dense on rooted trees).
+
+    On unrooted trees each rung R is reached by the first n, and within it
+    the first k, where at every sampled vertex v both displays exceed R: the
+    fiber display |lambda_k|^p* times the q-mass of Chi^n(v), and the spine
+    display, j's mass with the spine weight mu(p^n v) scaled by lambda_k.
+    Both depend on lambda_k only through s = |lambda_k|: the fiber display
+    grows with s and the spine display shrinks with it, the spine term
+    1/|mu lambda|^p* (1/|mu lambda| for l^1) being decreasing in s.  So
+    within one n, once the fiber display fails at some s it fails at every
+    smaller s, and once the spine display fails at some s it fails at every
+    larger one.  The scan keeps the largest s where the fiber display failed
+    (lo) and the smallest where the fiber display passed but the spine one
+    failed (hi), and skips a k with s <= lo or s >= hi without evaluating
+    either display: it finds the same (n, k) as testing every k in order.
+    The spine display is evaluated only where the fiber display passes at
+    every sampled vertex.
+
+    lambda_k is read once, when the scan first reaches k, whether or not k
+    is then skipped; a lambda_k that the displays would have to carry as a
+    float beyond float range raises FloatRangeError there.
     """
     sample_verts = _sample_vertices(sample, tree)
 
@@ -478,29 +525,29 @@ def supercyclicity_report(
             leaf_witness=leaf,
         )
 
-    # The first (n, k) that reaches each rung in turn: both scaled displays,
-    # the p*-masses of |lambda_k|/|mu_u| over Chi^n(v) and of the spine
-    # terms, exceed R at every sampled vertex.  lambda_k and its power are
-    # read once, when the scan first reaches k.
+    # The first (n, k) that reaches each rung in turn (see the docstring).
     dual = spec.dual
     achieved = []
     rungs = ((R, dual.threshold(R)) for R in ladder)
     R, R_pow = next(rungs, (None, None))
-    scales = []  # (lambda_k, |lambda_k|^p*) for k < len(scales)
+    scales = []  # (lambda_k, |lambda_k|^p*, |lambda_k|) for k < len(scales)
     for n in range(1, horizon + 1):
         if R is None:
             break
         spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
         fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
+        lo, hi = 0, math.inf  # the fiber display fails for |lambda| <= lo, the spine one for >= hi
         for k in range(horizon + 1):
             if k == len(scales):
-                lam = gamma.at(k)
-                scales.append((lam, dual.power(lam)))
-            lam, lam_pow = scales[k]
-            if all(
-                lam_pow * fiber > R_pow and _j_term(*parts, spec, lam) > R_pow
-                for fiber, parts in zip(fibers, spine)
-            ):
+                scales.append(_scale(gamma, k, dual, spine, fibers))
+            lam, lam_pow, s = scales[k]
+            if not lo < s < hi:
+                continue
+            if not all(lam_pow * fiber > R_pow for fiber in fibers):
+                lo = s
+            elif not all(_j_term(*parts, spec, lam) > R_pow for parts in spine):
+                hi = s
+            else:
                 achieved.append((R, n, k, lam))
                 R, R_pow = next(rungs, (None, None))
                 break
@@ -577,7 +624,8 @@ class LimitPointReport:
             row = self.q_rows.get(v)
             if row is None:
                 row = _q_row(v, self.tree, self.spec, self.horizon)
-            rows.extend((format_address(v), n, _value(m, self.spec)) for n, m in enumerate(row))
+            label = format_address(v)
+            rows.extend((label, n, _value(m, self.spec)) for n, m in enumerate(row))
         return rows
 
 

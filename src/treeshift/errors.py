@@ -25,6 +25,10 @@ class CriterionTooWeakError(TreeShiftError):
     """No term of a vector synthesis could meet its budget at this truncation."""
 
 
+class FloatRangeError(TreeShiftError):
+    """A value that float arithmetic must carry lies beyond float range."""
+
+
 class WorkBudgetError(TreeShiftError):
     """A construction would materialise more entries than its work budget."""
 

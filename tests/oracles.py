@@ -4,12 +4,17 @@ Nothing here consults the library's closed forms: grid minima come from
 exhaustive enumeration of mesh compositions (directly for tiny instances,
 via dynamic programming over partial sums for larger ones - an implicit but
 still exhaustive enumeration), and analytic tail sums are spelled out from
-first principles.
+first principles.  The one exception is the Gamma-supercyclicity scan,
+which reads the library's displays but tests every k at every n: it is the
+reference for the order in which `supercyclicity_report` skips scales.
 """
 
 from __future__ import annotations
 
 import math
+
+from treeshift.criteria import _j_parts, _j_term
+from treeshift.spaces import fiber_mass
 
 
 def compositions(total: int, parts: int):
@@ -70,3 +75,33 @@ def orbit_residual_tail(p: float, k: int, k_max: int = 7) -> float:
     return (2.0 / 2.0 ** p) * sum(
         2.0 ** (-p * (2 ** l - 2 ** k)) for l in range(k + 1, k_max + 1)
     )
+
+
+def supercyclic_scan_linear(tree, spec, gamma, horizon, sample_verts, ladder):
+    """``(achieved, failed_rung)`` of the Gamma-supercyclicity scan on an
+    unrooted tree, testing both displays at every k = 0..horizon for each n
+    until a rung is reached: the scan `supercyclicity_report` ran before it
+    skipped the scales a display has already ruled out."""
+    dual = spec.dual
+    achieved = []
+    rungs = ((R, dual.threshold(R)) for R in ladder)
+    R, R_pow = next(rungs, (None, None))
+    scales = []  # (lambda_k, |lambda_k|^p*) for k < len(scales)
+    for n in range(1, horizon + 1):
+        if R is None:
+            break
+        spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
+        fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
+        for k in range(horizon + 1):
+            if k == len(scales):
+                lam = gamma.at(k)
+                scales.append((lam, dual.power(lam)))
+            lam, lam_pow = scales[k]
+            if all(
+                lam_pow * fiber > R_pow and _j_term(*parts, spec, lam) > R_pow
+                for fiber, parts in zip(fibers, spine)
+            ):
+                achieved.append((R, n, k, lam))
+                R, R_pow = next(rungs, (None, None))
+                break
+    return achieved, R

@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import csv
+import math
 import re
 import shlex
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import cli, criteria
 from treeshift.cli import main
 from treeshift.shifts import return_set_report
-from treeshift.spaces import DualExponent
+from treeshift.spaces import DualExponent, to_float
 
 
 def run_cli(*argv, capsys=None):
@@ -193,16 +198,25 @@ def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
     """The report reads each sampled vertex's q row once, 7,007 fiber-mass
     reads counting memo hits, and masses each distinct fiber level once:
     1001 levels below the root and 1003 along each chain.  The CSV writes the
-    rows the report read and reads no mass again."""
+    rows the report read and reads no mass again, and labels each of its 7
+    vertices once (7,007 labels when every row was labelled)."""
     reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
     masses = _count_calls(monkeypatch, DualExponent, "mass")
+    labels = _count_calls(monkeypatch, criteria, "format_address")
     args = ["criteria", "--preset", "example_4_1", "--horizon", "1000"]
     assert main(args) == 0
     assert (reads.total(), masses.total()) == (7007, 3007)
+    text_labels = labels.copy()
     reads.clear()
     masses.clear()
-    assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
+    labels.clear()
+    csv_path = tmp_path / "q.csv"
+    assert main(args + ["--csv", str(csv_path)]) == 0
     assert (reads.total(), masses.total()) == (7007, 3007)
+    with open(csv_path, newline="") as fp:
+        csv_vertices = {row[0] for row in list(csv.reader(fp))[2:]}
+    assert len(csv_vertices) == 7
+    assert sorted(map(ts.format_address, (labels - text_labels).elements())) == sorted(csv_vertices)
 
 
 def test_limit_point_csv_reads_only_rows_the_report_did_not(tmp_path, monkeypatch, capsys):
@@ -217,6 +231,55 @@ def test_limit_point_csv_reads_only_rows_the_report_did_not(tmp_path, monkeypatc
     reads.clear()
     assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
     assert (rows.total(), len(rows), reads.total()) == (7, 7, 7007)
+
+
+@pytest.mark.parametrize("argv", [
+    "supercyclic --preset example_7_2 --gamma const:1 --horizon 60 --exact",
+    "supercyclic --preset example_7_2 --space 4/3 --gamma powers:4 --horizon 60",
+    "supercyclic --preset bi_infinite_path --space c0 --gamma powers:2 --horizon 60",
+])
+def test_supercyclic_scan_skips_ruled_out_scales(monkeypatch, capsys, argv):
+    """The scan evaluates the spine display at most 2 x horizon times; testing
+    every k at every n took 4,890, 3,616 and 3,488."""
+    calls = _count_calls(monkeypatch, criteria, "_j_term")
+    assert main(argv.split()) == 0
+    assert 0 < calls.total() <= 2 * 60
+
+
+@pytest.mark.parametrize("gamma, k", [("const:1e400", 0), ("powers:1e300 --space 3", 1)])
+def test_gamma_beyond_float_range_is_a_usage_error(capsys, gamma, k):
+    """A lambda_k that float displays would carry past float range exits 2
+    with one error line naming k and lambda_k; exact displays take it."""
+    argv = ["supercyclic", "--preset", "example_7_2", "--horizon", "20", "--gamma", *gamma.split()]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: lambda_{k} = 1000") and err.count("\n") == 1
+    assert err.endswith(" is beyond float range\n")
+    if gamma == "const:1e400":
+        assert main(argv + ["--exact"]) == 0
+        assert "satisfied at horizon: False" in capsys.readouterr().out
+
+
+def _fmt_chain(x) -> str:
+    """The CSV cell formatter as an isinstance chain: the reference for
+    `cli._fmt`, which tests for a plain float first."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return x
+    return f"{to_float(x):.12g}"
+
+
+@given(st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e16,
+                     Fraction(10) ** 400, -Fraction(10) ** 400, Fraction(1, 3)]),
+    st.booleans(), st.integers(), st.fractions(), st.text(),
+))
+def test_csv_formatter_matches_the_isinstance_chain(x):
+    assert cli._fmt(x) == _fmt_chain(x)
 
 
 def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):

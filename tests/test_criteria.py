@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treeshift as ts
@@ -14,6 +14,7 @@ from treeshift import criteria
 from treeshift.presets import chain_vertex
 
 from conftest import SPACES
+from oracles import supercyclic_scan_linear
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
@@ -260,6 +261,59 @@ def test_supercyclicity_reads_each_scalar_once_and_only_where_reached():
     assert report.achieved == ts.supercyclicity_report(
         tree, L2, ts.gamma_powers(16), horizon=40).achieved
     assert reads == list(range(41))
+
+
+_DYADIC = [sign * Fraction(2) ** e for sign in (1, -1) for e in range(-2, 5)]
+
+
+@st.composite
+def _supercyclic_cases(draw):
+    """An unrooted dyadic tree in float or exact mode, a space, a Gamma (a
+    constant, powers of a ratio, or a list of scalars repeated with period
+    its length: non-monotone, with repeats and sign changes), an unsorted
+    ladder with repeats and a horizon."""
+    exact = draw(st.booleans())
+    two = Fraction(2) if exact else 2.0
+    if draw(st.booleans()):
+        tree = ts.example_7_2(exact=exact)
+    else:
+        # mostly decaying above the anchor, where the spine display can pass
+        up, down = draw(st.integers(-1, 2)), draw(st.integers(-2, 2))
+        tree = ts.bi_infinite_path(lambda d: two ** (down * d if d > 0 else up * d))
+    spec = ts.SpaceSpec.parse(draw(st.sampled_from(["1", "2", "3", "4/3", "c0"])))
+    cast = float if not exact and draw(st.booleans()) else Fraction
+    kind = draw(st.sampled_from(["const", "powers", "list"]))
+    if kind == "const":
+        gamma = ts.gamma_constant(cast(draw(st.sampled_from(_DYADIC))))
+    elif kind == "powers":
+        gamma = ts.gamma_powers(cast(draw(st.sampled_from([2, -2, 4, Fraction(1, 2), 1]))))
+    else:
+        values = [cast(x) for x in draw(st.lists(st.sampled_from(_DYADIC), min_size=1, max_size=8))]
+        gamma = ts.GammaSpec(lambda k: values[k % len(values)], f"list {values}", bounded=True)
+    ladder = draw(st.lists(st.sampled_from([Fraction(1, 2), 1, 2, 3, 4, 8, 16]),
+                           min_size=1, max_size=6))
+    return tree, spec, gamma, ladder, draw(st.integers(0, 16))
+
+
+@given(_supercyclic_cases())
+@example((ts.bi_infinite_path(lambda d: 2.0 ** min(d, 0)), L2, ts.gamma_powers(2),
+          criteria.DEFAULT_LADDER, 16))
+@settings(max_examples=200, deadline=None)
+def test_supercyclic_scan_matches_the_linear_scan(case):
+    """Skipping the scales a display has already ruled out reaches the same
+    rungs at the same (n, k, lambda_k), fails at the same rung and reads the
+    same lambda_k in the same order as testing every k at every n."""
+    tree, spec, gamma, ladder, horizon = case
+    reads, linear_reads = [], []
+
+    def recorded(log):
+        return ts.GammaSpec(lambda k: log.append(k) or gamma.lambdas(k), gamma.description,
+                            gamma.bounded)
+
+    report = ts.supercyclicity_report(tree, spec, recorded(reads), horizon=horizon, ladder=ladder)
+    achieved, failed_rung = supercyclic_scan_linear(
+        tree, spec, recorded(linear_reads), horizon, report.sample, ladder)
+    assert (report.achieved, report.failed_rung, reads) == (achieved, failed_rung, linear_reads)
 
 
 def test_supercyclicity_unweighted_spine_fails():
