@@ -13,11 +13,11 @@ every verdict is horizon-stamped rather than asserted as a true limit.
 Public functions check the vertices they are given.  The reports read each
 sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
 n = 0..horizon; the floor of a sample set is the elementwise min of its rows.
-On a tree with vertex types a row is one sweep: the (type, count) levels
-below v are swept once for n = 0..horizon, each n resuming from the level
-left by n - 1 (`trees._fiber_types`), and a j row follows the spine, the
-fiber below p^(n+1)(v) being the one below p^n(v) merged with the fibers
-below its siblings.  Each level is massed once per tree, wherever it lies
+A row is one sweep: the (type, count) levels below v are swept once for
+n = 0..horizon, each n resuming from the level left by n - 1
+(`trees._fiber_types`), and a j row follows the spine, the fiber below
+p^(n+1)(v) being the one below p^n(v) merged with the fibers below its
+siblings.  Each level is massed once per tree, wherever it lies
 (`spaces._level_mass`).  All the rungs of a ladder are thresholded in one
 pass over a floor (`_rung_times`): each entry is placed among the sorted
 thresholds by bisection.
@@ -41,6 +41,7 @@ from .trees import (
     VertexAddress,
     _p_n,
     _spine_fiber,
+    enumerate_distinct_subtrees,
     enumerate_truncation,
     format_address,
 )
@@ -59,20 +60,22 @@ def _checked(vertices: Iterable, tree: TreeModel) -> list[VertexAddress]:
 
 def _j_parts(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> tuple:
     """The parts of j(v, n) on an unrooted tree: ``(mu(p^n v), q-mass of
-    Chi^n(p^n v))``.  On a tree with vertex types the fiber is the level of
-    the spine recurrence (`trees._spine_fiber`)."""
-    if tree.types is None:
-        s = _p_n(v, n, tree)
-        return tree.weight(s), fiber_mass(tree, s, n, spec)[1]
+    Chi^n(p^n v))``, the fiber being the level of the spine recurrence
+    (`trees._spine_fiber`)."""
     s, level = _spine_fiber(v, n, tree)
     return tree.weight(s), _level_mass(tree, level, spec.dual)[1]
 
 
-def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1):
+def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1, k=None):
     """j in the scale of thresholds from its parts, the spine weight scaled
-    by lam (the supercyclicity display; lam = 1 recovers j)."""
+    by lam = lambda_k (the supercyclicity display; lam = 1 recovers j).  A
+    float scaled spine term whose power is 0.0 has no reciprocal there:
+    FloatRangeError names k and lambda_k."""
     dual = spec.dual
-    return dual.combine((1 / dual.power(spine_weight * lam), fiber))
+    scaled = dual.power(spine_weight * lam)
+    if k is not None and scaled == 0 and isinstance(scaled, float):
+        raise FloatRangeError(f"lambda_{k} = {lam} scales a spine weight to 0.0 in floats")
+    return dual.combine((1 / scaled, fiber))
 
 
 def _j_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
@@ -502,11 +505,10 @@ def supercyclicity_report(
                 ],
                 hypercyclicity=sub,
             )
-        leaf = None
-        for v in enumerate_truncation(tree, trunc):
-            if tree.arity(v) == 0:
-                leaf = v
-                break
+        # arity is a type property, and a skipped subtree repeats one walked
+        # before it: the first leaf of the distinct walk is the first leaf
+        leaf = next((v for v in enumerate_distinct_subtrees(tree, trunc)
+                     if tree.arity(v) == 0), None)
         return SupercyclicityReport(
             tree.name, spec.label, gamma.description, horizon,
             mode="rooted-unbounded-gamma",
@@ -545,7 +547,7 @@ def supercyclicity_report(
                 continue
             if not all(lam_pow * fiber > R_pow for fiber in fibers):
                 lo = s
-            elif not all(_j_term(*parts, spec, lam) > R_pow for parts in spine):
+            elif not all(_j_term(*parts, spec, lam, k) > R_pow for parts in spine):
                 hi = s
             else:
                 achieved.append((R, n, k, lam))

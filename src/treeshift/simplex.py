@@ -9,12 +9,12 @@ inverses S_n of B^n, the approximate-kernel maps I_n on unrooted trees, and
 the synthesis of vectors whose orbit keeps returning to e_root.
 
 For p > 1 and c0 the minimiser's coefficient at a vertex depends on its
-weight alone, so on a tree with vertex types `build_Sn` computes it once per
-type.  B only sums over children, so B^m of a vector that is constant per
-type is again constant per type, one level up: the synthesis computes its
-term norms and residual certificates per (level, type), bit-identical to
-evaluating the materialised vectors, which it still returns.  In l^1 and on
-trees without types the certificates are evaluated on those vectors.
+weight alone, so `build_Sn` computes it once per vertex type.  B only sums
+over children, so B^m of a vector that is constant per type is again
+constant per type, one level up: the synthesis computes its term norms and
+residual certificates per (level, type), bit-identical to evaluating the
+materialised vectors, which it still returns.  In l^1 the certificates are
+evaluated on those vectors.
 """
 
 from __future__ import annotations
@@ -135,17 +135,15 @@ def build_Sn(
 def _right_inverse(v, n: int, tree: TreeModel, spec: SpaceSpec, delta=None):
     """``build_Sn`` and its description: the fiber's types in depth-first
     order and the nonzero coefficient of each type.  The description is None
-    for l^1, where the vector has one entry, and on a tree without vertex
-    types, where each vertex would be its own type."""
+    for l^1, where the vector has one entry."""
     fiber, kinds = _typed_fiber(v, n, tree)
     if not fiber:
         raise EmptyFiberError(f"Chi^{n}({v}) is empty")
     if delta is None:
         delta = (2.0 ** -n) * 1e-3
     dual = spec.dual
-    if dual.is_max or tree.types is None:
-        if dual.is_max:
-            fiber = sorted(fiber)
+    if dual.is_max:
+        fiber = sorted(fiber)
         x = simplex_optimizer(SimplexInstance(tuple(map(tree.weight, fiber)), spec), delta)
         return _vector({u: xi for u, xi in zip(fiber, x) if xi != 0}), None
     types = list(dict.fromkeys(kinds))
@@ -303,15 +301,13 @@ def build_recurrent_vector(
     steps.  Because c_j comes from a truncation (a lower bound on infinite
     trees), every certificate re-verifies its residual by direct evaluation.
 
-    The vector and the terms' g_j are materialised `SparseVector`s.  On a
-    tree with vertex types, a term whose fiber has more than
-    ``MAX_TERM_ENTRIES`` vertices raises `WorkBudgetError` before it is
-    built; the count comes from the fiber's (type, count) level.  On a
-    tree with vertex types and for p > 1 or c0, the term norms and residuals
-    are computed per (level, type) (`_typed_residuals`), with the sums and
-    order of evaluating B^(n_j) f - e_root entry by entry.  In l^1, where
-    each g_j is one basis vector, and on trees without types, they are
-    evaluated on the materialised vectors.
+    The vector and the terms' g_j are materialised `SparseVector`s.  A term
+    whose fiber has more than ``MAX_TERM_ENTRIES`` vertices raises
+    `WorkBudgetError` before it is built; the count comes from the fiber's
+    (type, count) level.  For p > 1 or c0, the term norms and residuals are
+    computed per (level, type) (`_typed_residuals`), with the sums and order
+    of evaluating B^(n_j) f - e_root entry by entry.  In l^1, where each g_j
+    is one basis vector, they are evaluated on the materialised vector.
     """
     if not tree.rooted:
         raise RootedTreeError("recurrent-vector synthesis is the rooted construction")
@@ -341,13 +337,12 @@ def build_recurrent_vector(
             inf_n = math.inf if mass is None else to_float(dual.infimum(mass))
             skipped.append((n, inf_n, allowance))
             continue
-        if tree.types is not None:  # the fiber's size from its (type, count) level
-            size = sum(_fiber_types(ANCHOR, n, tree).values())
-            if size > MAX_TERM_ENTRIES:
-                raise WorkBudgetError(
-                    f"the term for n = {n} would have {size:,} entries, "
-                    f"above the budget of {MAX_TERM_ENTRIES:,}"
-                )
+        size = sum(_fiber_types(ANCHOR, n, tree).values())  # from the (type, count) level
+        if size > MAX_TERM_ENTRIES:
+            raise WorkBudgetError(
+                f"the term for n = {n} would have {size:,} entries, "
+                f"above the budget of {MAX_TERM_ENTRIES:,}"
+            )
         g, description = _right_inverse(ANCHOR, n, tree, spec)
         if description is None:
             g_norm = _norm(g, spec, tree)

@@ -38,7 +38,6 @@ from .trees import (
     VertexAddress,
     _fiber_types,
     _remember,
-    chi_n,
     format_address,
     parse_address,
 )
@@ -420,9 +419,8 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     """``(mass, combined)`` of the fiber Chi^n(v): ``spec.dual.mass`` of its
     weights (None for an empty fiber) and the ``combined`` terms that mass
     stands for (0 for an empty fiber).  ``v`` must be a checked VertexAddress.
-    On a tree with vertex types the fiber is swept as a (type, count) level
-    (`trees._fiber_types`) and massed by `_level_mass`; without them it is
-    enumerated and memoised under ``(v, n, dual)``.
+    The fiber is swept as a (type, count) level (`trees._fiber_types`) and
+    massed by `_level_mass`.
 
     Every fiber quantity reads this one mass: q(v, n) is the p*-th root of
     ``combined`` and the fiber's simplex infimum is the mass's ``infimum``.
@@ -430,37 +428,23 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     live as long as the tree; keeping ``combined`` spares the criteria a
     Fraction division per threshold comparison for l^1.
     """
-    dual = spec.dual
-    if tree.types is not None:
-        return _level_mass(tree, _fiber_types(v, n, tree), dual)
-    key = (v, n, dual)
-    entry = tree.fiber_masses.get(key)
-    if entry is None:
-        entry = _mass_entry(tree, [(u, 1) for u in chi_n(v, n, tree)], dual)
-        _remember(tree.fiber_masses, key, entry)
-    return entry
+    return _level_mass(tree, _fiber_types(v, n, tree), spec.dual)
 
 
 def _level_mass(tree: TreeModel, level: dict, dual: DualExponent):
-    """`fiber_mass` of a fiber level given as ``{type: count}`` on a tree
-    with vertex types.  It depends on the (type, count) pairs alone, so it is
-    memoised in ``tree.fiber_masses`` under ``(dual, tuple(level.items()))``
-    and equal levels below different vertices are massed once; the order is
-    part of the key because a float sum depends on it."""
+    """`fiber_mass` of a fiber level given as ``{type: count}``.  It depends
+    on the (type, count) pairs alone, so it is memoised in
+    ``tree.fiber_masses`` under ``(dual, tuple(level.items()))`` and equal
+    levels below different vertices are massed once; the order is part of
+    the key because a float sum depends on it."""
     key = (dual, tuple(level.items()))
     entry = tree.fiber_masses.get(key)
     if entry is None:
-        entry = _mass_entry(tree, level.items(), dual)
+        pairs = [(tree.type_weight(t), count) for t, count in level.items()]
+        mass = dual.mass(pairs) if pairs else None
+        entry = mass, 0 if mass is None else dual.combined(mass)
         _remember(tree.fiber_masses, key, entry)
     return entry
-
-
-def _mass_entry(tree: TreeModel, level, dual: DualExponent) -> tuple:
-    """``(mass, combined)`` of (type, count) pairs, as `fiber_mass` gives it."""
-    weight = tree.type_weight
-    pairs = [(weight(t), count) for t, count in level]
-    mass = dual.mass(pairs) if pairs else None
-    return mass, 0 if mass is None else dual.combined(mass)
 
 
 def dump_vector(f: SparseVector, fp: IO[str]) -> None:

@@ -10,17 +10,16 @@ An address is *canonical* when the first downward step after the up-steps does
 not immediately re-enter the spine vertex it came from; `canonicalize` reduces
 such detours.  All other operations expect canonical addresses.
 
-A tree may state its rules on vertex types (`VertexTypes`).  Fibers are then
-swept as (type, count) levels without building an address (`_fiber_types`),
-and the fibers below the n-fold parents p^n(v) follow the spine recurrence
-(`_spine_fiber`).
+A tree states its rules on vertex types (`VertexTypes`); a tree built without
+them has every vertex as its own type.  Fibers are swept as (type, count)
+levels without building an address (`_fiber_types`), and the fibers below the
+n-fold parents p^n(v) follow the spine recurrence (`_spine_fiber`).
 
 Public functions check the addresses they are given.  Addresses the library
 generates itself (children, parents, fibers) are built with `tuple.__new__`
 and are not checked again.  `chi_n` builds a fiber level by level, which at a
-fixed depth gives the depth-first order; with vertex types it sweeps
-child-index suffixes by type and builds each address once, at the fiber's
-level (`_typed_fiber`).
+fixed depth gives the depth-first order: it sweeps child-index suffixes by
+type and builds each address once, at the fiber's level (`_typed_fiber`).
 """
 
 from __future__ import annotations
@@ -113,17 +112,16 @@ class VertexTypes(NamedTuple):
 class TreeModel:
     """Immutable, lazily generated directed tree.
 
-    ``arity`` and ``weight`` are rules on the vertex types of ``types``, or
-    without them on canonical addresses, each vertex being its own type.
-    ``tree.arity(v)`` and ``tree.weight(v)`` take addresses either way; they
-    and the rules on types (``type_weight``, ``child_types``) are memoised,
-    and instances are safe to share across threads.
-    ``fiber_masses`` memoises fiber masses (`spaces.fiber_mass`): with
-    vertex types under ``(dual, tuple(level.items()))``, the (type, count)
-    pairs of a level in sweep order, so that equal levels are massed once;
-    without them under ``(v, n, dual)``.  ``fiber_levels`` and
-    ``spine_levels`` memoise the last level swept below each vertex and the
-    last step of the spine recurrence from each vertex.
+    ``arity`` and ``weight`` are rules on the vertex types of ``types``;
+    without ``types`` every vertex is its own type (``type_of(v)`` is ``v``).
+    ``tree.arity(v)`` and ``tree.weight(v)`` take addresses; they and the
+    rules on types (``type_weight``, ``child_types``) are memoised, and
+    instances are safe to share across threads.  ``fiber_masses`` memoises
+    fiber masses (`spaces.fiber_mass`) under ``(dual, tuple(level.items()))``,
+    the (type, count) pairs of a level in sweep order, so that equal levels
+    are massed once.  ``fiber_levels`` and ``spine_levels`` memoise the last
+    level swept below each vertex and the last step of the spine recurrence
+    from each vertex.
     """
 
     fiber_profile = None  # read by perfbench/tracer.py, which wraps it when set
@@ -143,6 +141,9 @@ class TreeModel:
             raise ValueError(f"kind must be {ROOTED!r} or {UNROOTED!r}, got {kind!r}")
         if kind == UNROOTED and spine_child_index is None:
             raise ValueError("unrooted trees need a spine_child_index rule")
+        tree = weakref.ref(self)  # the memo must not keep the tree alive
+        if types is None:  # every vertex is its own type
+            types = VertexTypes(lambda v: v, lambda v, i: _children(v, tree())[i])
         self.kind = kind
         self.name = name
         self.edge_data = edge_data
@@ -153,29 +154,22 @@ class TreeModel:
         self.spine_child_index = (
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
         )
+        type_of = self.type_of = types.type_of
         type_weight = self.type_weight = lru_cache(maxsize=MEMO_SIZE)(weight)
-        if types is None:
-            type_of = self.type_of = lambda v: v
-            self.arity, self.weight = lru_cache(maxsize=MEMO_SIZE)(arity), type_weight
-        else:
-            type_of = self.type_of = types.type_of
-            self.arity = lru_cache(maxsize=MEMO_SIZE)(lambda v: arity(type_of(v)))
-            self.weight = lru_cache(maxsize=MEMO_SIZE)(lambda v: type_weight(type_of(v)))
-        tree = weakref.ref(self)  # the memo must not keep the tree alive
-        child_type = None if types is None else types.child_type
+        self.arity = lru_cache(maxsize=MEMO_SIZE)(lambda v: arity(type_of(v)))
+        self.weight = lru_cache(maxsize=MEMO_SIZE)(lambda v: type_weight(type_of(v)))
 
         def child_types(t) -> tuple:
             """The types of the children of a vertex of type ``t``, in order."""
             if isinstance(t, VertexAddress):  # a vertex that is its own type
                 return tuple(map(type_of, _children(t, tree())))
-            return tuple([child_type(t, i) for i in range(arity(t))])
+            return tuple([types.child_type(t, i) for i in range(arity(t))])
 
         self.child_types = lru_cache(maxsize=MEMO_SIZE)(child_types)
         # A rooted tree whose anchor type is its own only child type has one
         # arity: `check` then tests a path against the valid child indices.
         self._child_indices = None
-        if types is not None and kind == ROOTED:
-            t = type_of(ANCHOR)
+        if kind == ROOTED and not isinstance(t := type_of(ANCHOR), VertexAddress):
             kids = self.child_types(t)
             if kids and set(kids) == {t}:
                 self._child_indices = frozenset(range(len(kids)))
@@ -185,8 +179,8 @@ class TreeModel:
         return self.kind == ROOTED
 
     def with_weight(self, weight, *, name=None) -> "TreeModel":
-        """Same tree structure with a different weight rule on addresses, and
-        without the vertex types, whose contract promises equal weights."""
+        """Same tree structure with a different weight rule on addresses, on
+        which every vertex is its own type: types promise equal weights."""
         return TreeModel(
             self.kind,
             self.arity,
@@ -300,18 +294,15 @@ def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
 
 
 def _typed_fiber(v, n: int, tree: TreeModel) -> tuple[list, list]:
-    """``(addresses, types)`` of Chi^n(v), both in depth-first order; on a
-    tree without vertex types each address is its own type (the two lists
-    are then one list: read them only).
+    """``(addresses, types)`` of Chi^n(v), both in depth-first order.
 
     Levels that hold a spine vertex go vertex by vertex, each level the
     children of the previous one in order, which at a fixed depth is the
-    depth-first order.  Below them, on a tree without vertex types, the
-    levels go on vertex by vertex.  With vertex types, the remaining depth
-    is split in two: the top part is swept from each start vertex and the
-    bottom part from each distinct type on the split level, as child-index
-    suffixes with their types (`_suffixes`).  Each fiber address is then
-    built once, as a top path joined to a bottom suffix."""
+    depth-first order.  The remaining depth is split in two: the top part is
+    swept from each start vertex and the bottom part from each distinct type
+    on the split level, as child-index suffixes with their types
+    (`_suffixes`).  Each fiber address is then built once, as a top path
+    joined to a bottom suffix."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
@@ -321,12 +312,6 @@ def _typed_fiber(v, n: int, tree: TreeModel) -> tuple[list, list]:
     for _ in range(spine_levels):  # the level holds the spine vertex (up - k; )
         level = [c for w in level for c in _children(w, tree)]
     n -= spine_levels
-    if tree.types is None:
-        arity = tree.arity
-        for _ in range(n):
-            level = [new(VertexAddress, (w[0], w[1] + (i,))) for w in level
-                     for i in range(arity(w))]
-        return level, level
     h = n // 2
     top = [(w[0], w[1] + s, t) for w in level
            for s, t in zip(*_suffixes(tree.type_of(w), n - h, tree))]
@@ -415,42 +400,47 @@ def enumerate_distinct_subtrees(tree: TreeModel, trunc: Truncation) -> Iterator[
     subtree below a vertex is skipped when a vertex of the same type at the
     same remaining depth was yielded before it.  Such a subtree repeats the
     walked one vertex for vertex, so a quantity computed from each vertex's
-    rules takes no value on it that the walk has not met already.  Trees
-    without vertex types yield every vertex.
+    rules takes no value on it that the walk has not met already.  Where
+    every vertex is its own type, every vertex is yielded.
     """
-    yield from _preorder(tree, trunc, None if tree.types is None else tree.type_of)
+    yield from _preorder(tree, trunc, tree.type_of)
 
 
 def _preorder(tree: TreeModel, trunc: Truncation, key_of) -> Iterator[VertexAddress]:
     """The walk of both enumerations, one anchor-level start at a time;
     ``key_of`` skips repeated (type, remaining depth) subtrees.  Starts are
     never skipped: above the anchor, a start's walked subtree leaves out its
-    spine child, which is the next start.  A spine child index out of range
-    is not an error here: the start's children are then all off the spine,
-    and `validate` reports the index."""
-    top = trunc.ancestry if tree.kind == UNROOTED else 0
+    spine child, which is the next start (`_walk_children`)."""
     seen = set()
-    for a in range(top + 1):
-        start = VertexAddress(a)
-        yield start
-        if trunc.depth <= 0:
-            continue
-        if a > 0:  # the children of the start that are off the spine
-            s = tree.spine_child_index(a - 1)
-            firsts = [VertexAddress(a, (i,)) for i in range(tree.arity(start)) if i != s]
-        else:
-            firsts = _children(start, tree)
-        stack = [(c, trunc.depth - 1) for c in reversed(firsts)]
+    for start in _starts(tree, trunc):
+        stack = [(start, trunc.depth)]
         while stack:
             w, r = stack.pop()
-            if key_of is not None:
+            if key_of is not None and w is not start:
                 key = (key_of(w), r)
                 if key in seen:
                     continue
                 seen.add(key)
             yield w
             if r > 0:
-                stack.extend((c, r - 1) for c in reversed(_children(w, tree)))
+                stack.extend((c, r - 1) for c in reversed(_walk_children(w, tree)))
+
+
+def _starts(tree: TreeModel, trunc: Truncation) -> list[VertexAddress]:
+    """The anchor and, on an unrooted tree, the spine up to ``ancestry``."""
+    return [VertexAddress(a) for a in range((trunc.ancestry if tree.kind == UNROOTED else 0) + 1)]
+
+
+def _walk_children(w: VertexAddress, tree: TreeModel) -> list[VertexAddress]:
+    """The children of ``w`` that a truncation walk enters: all of them, but
+    a spine vertex (a; ) leaves out its spine child (a - 1; ), a start of its
+    own.  A spine child index out of range is not an error here: the
+    children are then all off the spine, and `validate` reports the index."""
+    up, path = w
+    if up and not path:
+        s = tree.spine_child_index(up - 1)
+        return [VertexAddress(up, (i,)) for i in range(tree.arity(w)) if i != s]
+    return _children(w, tree)
 
 
 @dataclass(frozen=True)
@@ -482,6 +472,11 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
     connectedness to the anchor.  Parent/child coherence needs no check:
     children are built from their parent's address, and the parent map
     inverts both forms.  Violations are report entries, never raises.
+
+    The vertices are checked in the order of `enumerate_truncation`, up to
+    `_MAX_VIOLATIONS` violations.  Vertices of one type have equal rules and
+    subtrees, so a subtree whose (type, remaining depth) heads a walked
+    subtree without violations has none either: it is counted, not walked.
     """
     if isinstance(tree, EdgeData):
         return validate_edge_data(tree)
@@ -503,17 +498,32 @@ def validate(tree, trunc: Truncation = Truncation()) -> ValidationReport:
                         f"spine child index {s} not below arity {a}",
                     )
                 )
-    for v in enumerate_truncation(tree, trunc):
-        if len(violations) >= _MAX_VIOLATIONS:
-            break
-        checked += 1
-        a = tree.arity(v)
-        if a < 0:
-            violations.append(Violation("NegativeArity", str(v), f"arity {a}"))
-            continue
-        w = tree.weight(v)
-        if w == 0:
-            violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
+    clean: dict = {}  # (type, remaining depth) -> size, for subtrees without violations
+    for start in _starts(tree, trunc):  # a start's walked subtree leaves out the spine: no key
+        stack = [(start, trunc.depth, None)]
+        while stack:
+            v, r, key = stack.pop()
+            if v is None:  # leaving the subtree of key, entered at the counts r
+                if r[1] == len(violations):
+                    clean[key] = checked - r[0]
+                continue
+            if len(violations) >= _MAX_VIOLATIONS:
+                break
+            if key in clean:
+                checked += clean[key]
+                continue
+            if key is not None:
+                stack.append((None, (checked, len(violations)), key))
+            checked += 1
+            a = tree.arity(v)
+            if a < 0:
+                violations.append(Violation("NegativeArity", str(v), f"arity {a}"))
+                continue
+            if tree.weight(v) == 0:
+                violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
+            if r > 0:
+                stack.extend((c, r - 1, (tree.type_of(c), r - 1))
+                             for c in reversed(_walk_children(v, tree)))
     return ValidationReport(ok=not violations, violations=violations, checked=checked)
 
 

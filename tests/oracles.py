@@ -4,17 +4,23 @@ Nothing here consults the library's closed forms: grid minima come from
 exhaustive enumeration of mesh compositions (directly for tiny instances,
 via dynamic programming over partial sums for larger ones - an implicit but
 still exhaustive enumeration), and analytic tail sums are spelled out from
-first principles.  The one exception is the Gamma-supercyclicity scan,
-which reads the library's displays but tests every k at every n: it is the
-reference for the order in which `supercyclicity_report` skips scales.
+first principles.  Fibers, their masses and the tree-axiom checks come from
+depth-first walks over `children` and `enumerate_truncation`, vertex by
+vertex, with no vertex type read.  The one exception is the
+Gamma-supercyclicity scan, which reads the library's displays but tests
+every k at every n: it is the reference for the order in which
+`supercyclicity_report` skips scales.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
+import treeshift as ts
 from treeshift.criteria import _j_parts, _j_term
 from treeshift.spaces import fiber_mass
+from treeshift.trees import ValidationReport, Violation
 
 
 def compositions(total: int, parts: int):
@@ -105,3 +111,52 @@ def supercyclic_scan_linear(tree, spec, gamma, horizon, sample_verts, ladder):
                 R, R_pow = next(rungs, (None, None))
                 break
     return achieved, R
+
+
+_WALKED = weakref.WeakKeyDictionary()  # tree -> {(v, n) or (v, n, dual): fiber or mass}
+
+
+def dfs_fiber(v, n: int, tree) -> list:
+    """Chi^n(v) by depth-first recursion over `children`, memoised per tree."""
+    memo = _WALKED.setdefault(tree, {})
+    if (v, n) not in memo:
+        memo[v, n] = [v] if n == 0 else [
+            u for c in ts.children(v, tree) for u in dfs_fiber(c, n - 1, tree)]
+    return memo[v, n]
+
+
+def fiber_mass_by_walk(tree, v, n: int, spec) -> tuple:
+    """``(mass, combined)`` of Chi^n(v) as `fiber_mass` gives it, from the
+    depth-first fiber massed vertex by vertex: one (weight, 1) pair per
+    fiber vertex, in walk order."""
+    dual = spec.dual
+    memo = _WALKED.setdefault(tree, {})
+    if (v, n, dual) not in memo:
+        pairs = [(tree.weight(u), 1) for u in dfs_fiber(v, n, tree)]
+        mass = dual.mass(pairs) if pairs else None
+        memo[v, n, dual] = mass, 0 if mass is None else dual.combined(mass)
+    return memo[v, n, dual]
+
+
+def validate_by_walk(tree, trunc) -> ValidationReport:
+    """`validate` of a rule-backed tree without edge data: the spine indices,
+    then arity and weight at every vertex of `enumerate_truncation`, in its
+    order, until 100 violations are held."""
+    violations = []
+    if not tree.rooted:
+        for k in range(trunc.ancestry):
+            s, a = tree.spine_child_index(k), tree.arity(ts.VertexAddress(k + 1))
+            if not 0 <= s < a:
+                violations.append(Violation("SpineIndexOutOfRange", str(ts.VertexAddress(k + 1)),
+                                            f"spine child index {s} not below arity {a}"))
+    checked = 0
+    for v in ts.enumerate_truncation(tree, trunc):
+        if len(violations) >= 100:
+            break
+        checked += 1
+        a = tree.arity(v)
+        if a < 0:
+            violations.append(Violation("NegativeArity", str(v), f"arity {a}"))
+        elif tree.weight(v) == 0:
+            violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
+    return ValidationReport(ok=not violations, violations=violations, checked=checked)

@@ -69,6 +69,13 @@ def test_validate_preset_ok(capsys):
     assert "OK" in capsys.readouterr().out
 
 
+def test_validate_full_binary_counts_every_vertex(capsys):
+    """The default truncation of full_binary holds 2^17 - 1 vertices; all
+    are counted, though only one subtree per remaining depth is walked."""
+    assert main(["validate", "--preset", "full_binary"]) == 0
+    assert capsys.readouterr().out == "validated 131071 vertices: OK\n"
+
+
 def test_missing_tree_is_usage_error(capsys):
     assert main(["norm", "--space", "2"]) == 2
 

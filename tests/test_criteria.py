@@ -12,8 +12,9 @@ import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift import criteria
 from treeshift.presets import chain_vertex
+from treeshift.treespec import parse_tree_spec
 
-from conftest import SPACES
+from conftest import SPACES, spec_documents
 from oracles import supercyclic_scan_linear
 
 L1 = ts.SpaceSpec.ell(1)
@@ -347,6 +348,81 @@ def test_supercyclicity_rooted_leafy_tree_fails():
     report = ts.supercyclicity_report(leafy, L2, ts.gamma_powers(2), trunc=ts.Truncation(depth=4))
     assert not report.satisfied
     assert report.leaf_witness is not None
+
+
+def _first_leaf_of_the_walk(tree, trunc):
+    return next((v for v in ts.enumerate_truncation(tree, trunc) if tree.arity(v) == 0), None)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_leaf_search_finds_the_first_leaf_of_the_walk(data):
+    """The rooted unbounded-Gamma report searches leaves over distinct
+    (type, remaining depth) subtrees; it finds the leaf that the full
+    preorder walk meets first, or none when the walk meets none."""
+    tree = parse_tree_spec(data.draw(spec_documents(unrooted=False))).source
+    trunc = ts.Truncation(data.draw(st.integers(0, 6)))
+    report = ts.supercyclicity_report(tree, L2, ts.gamma_powers(2), trunc=trunc)
+    assert report.leaf_witness == _first_leaf_of_the_walk(tree, trunc)
+    assert report.satisfied == (report.leaf_witness is None)
+
+
+def test_leaf_search_reads_the_arity_rule_o_depth_times():
+    """On full-binary-shaped typed trees, one without leaves and one whose
+    only leaf is the root's last child, the leaf search reads the arity rule
+    O(depth) times; the full walk would read it 2^depth times."""
+    kids = {"root": ("full", "leaf"), "full": ("full", "full"), "leaf": ()}
+    shapes = [(lambda v: "full", None),
+              (lambda v: "root" if not v.path else ("leaf" if v.path[0] == 1 else "full"), VA(0, (1,)))]
+    for depth in (8, 16):
+        for type_of, leaf in shapes:
+            calls = []
+            tree = ts.TreeModel(ts.ROOTED, arity=lambda t: calls.append(t) or len(kids[t]),
+                                weight=lambda t: 1,
+                                types=ts.VertexTypes(type_of, lambda t, i: kids[t][i]))
+            trunc = ts.Truncation(depth)
+            report = ts.supercyclicity_report(tree, L2, ts.gamma_powers(2), trunc=trunc)
+            assert (report.satisfied, report.leaf_witness) == (leaf is None, leaf)
+            assert len(calls) <= depth + 20  # the default sample reads 15 vertices
+            assert report.leaf_witness == _first_leaf_of_the_walk(tree, trunc)
+
+
+def _chain_type(v):
+    """Types of `test_leaf_search_keys_subtrees_by_remaining_depth`: the
+    root, "c" at (0; 0), and below it and at (0; 1) the index in the chain."""
+    if not v.path:
+        return "root"
+    if v.path[0] == 0:
+        return "c" if len(v.path) == 1 else len(v.path) - 2
+    return len(v.path) - 1
+
+
+def test_leaf_search_keys_subtrees_by_remaining_depth():
+    """Type 0 heads a chain that ends in a leaf depth - 1 generations down.
+    Met first at depth 2, it cannot reach that leaf inside the truncation;
+    met again at depth 1, it can, so the search must walk it again."""
+    depth = 6
+    kids = {"root": ("c", 0), "c": (0,), **{i: (i + 1,) for i in range(depth - 1)}, depth - 1: ()}
+    tree = ts.TreeModel(ts.ROOTED, arity=lambda t: len(kids[t]), weight=lambda t: 1,
+                        types=ts.VertexTypes(_chain_type, lambda t, i: kids[t][i]))
+    trunc = ts.Truncation(depth)
+    report = ts.supercyclicity_report(tree, L2, ts.gamma_powers(2), trunc=trunc)
+    assert report.leaf_witness == VA(0, (1,) + (0,) * (depth - 1))
+    assert report.leaf_witness == _first_leaf_of_the_walk(tree, trunc)
+
+
+def test_spine_display_underflow_is_a_float_range_error():
+    """A float spine weight scaled by lambda_k = 10^-400 rounds to 0.0, so
+    the spine display has no float value: FloatRangeError names k and
+    lambda_k.  Fraction weights answer."""
+    gamma = ts.gamma_constant(Fraction(1, 10 ** 400))
+    floats = ts.bi_infinite_path(lambda d: 2.0 ** min(d, 0))
+    message = r"^lambda_0 = 1/10+ scales a spine weight to 0.0 in floats$"
+    with pytest.raises(ts.FloatRangeError, match=message):
+        ts.supercyclicity_report(floats, C0, gamma, horizon=20, ladder=(Fraction(-1),))
+    exact = ts.bi_infinite_path(lambda d: Fraction(2) ** min(d, 0))
+    report = ts.supercyclicity_report(exact, C0, gamma, horizon=20, ladder=(Fraction(-1),))
+    assert report.satisfied and report.achieved == [(Fraction(-1), 1, 0, gamma.at(0))]
 
 
 def test_gamma_spec_validation():

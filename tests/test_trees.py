@@ -12,7 +12,8 @@ from treeshift import VertexAddress as VA
 from treeshift.presets import chain_vertex, spine_vertex
 from treeshift.treespec import parse_tree_spec
 
-from conftest import assert_sweep_equals_enumeration, assert_type_contract
+from conftest import assert_sweep_equals_enumeration, assert_type_contract, spec_documents
+from oracles import validate_by_walk
 
 
 def test_address_text_round_trip():
@@ -186,6 +187,75 @@ def test_validate_reports_a_spine_child_index_out_of_range():
     assert [v.where for v in report.violations] == ["(1; )", "(3; )", "(4; )"]
     # the five starts, and three generations below each of their six off-spine children
     assert report.checked == 23
+
+
+def _with_bad_types(tree: ts.TreeModel, negative, zero) -> ts.TreeModel:
+    """``tree`` with its vertex types, where the types in ``negative`` have
+    arity -1 and those in ``zero`` weight 0; every other type keeps the
+    rules it has at the address that ``tree.type_of`` maps to it."""
+    def arity(t):
+        return -1 if t in negative else tree.arity(address_of[t])
+
+    def weight(t):
+        return 0 if t in zero else tree.type_weight(t)
+
+    address_of = {}
+    for v in ts.enumerate_truncation(tree, ts.Truncation(7, 4)):
+        address_of.setdefault(tree.type_of(v), v)
+    return ts.TreeModel(tree.kind, arity, weight, tree.spine_child_index, types=tree.types)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_validate_equals_the_vertex_walk(data):
+    """`validate`, which counts repeated (type, remaining depth) subtrees
+    without violations instead of walking them, gives the report of the
+    vertex-by-vertex walk: the same ``ok``, violations in the same order and
+    the same ``checked``, also with negative arities, zero weights and spine
+    child indices out of range."""
+    tree = parse_tree_spec(data.draw(spec_documents())).source
+    trunc = ts.Truncation(data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3)))
+    present = sorted({tree.type_of(v) for v in ts.enumerate_truncation(tree, trunc)}, key=repr)
+    negative = set(data.draw(st.lists(st.sampled_from(present), max_size=2)))
+    zero = set(data.draw(st.lists(st.sampled_from(present), max_size=2)))
+    for t in (tree, _with_bad_types(tree, negative, zero)):
+        assert ts.validate(t, trunc) == validate_by_walk(t, trunc)
+
+
+def test_validate_stops_at_the_violation_cap_like_the_vertex_walk():
+    """Zero weights and negative arities, below and above the cap of 100
+    violations: the report holds the first violations of the walk, in its
+    order, and counts the vertices checked before the cap.  On an unrooted
+    tree of one type every start has the same type and remaining depth, yet
+    each walks its own subtree."""
+    depth_types = ts.VertexTypes(type_of=lambda v: v.signed_depth, child_type=lambda d, i: d + 1)
+    for arity, weight, found in [(lambda d: 2, lambda d: 0 if d >= 3 else 1, 100),
+                                 (lambda d: -1 if d == 6 else 2, lambda d: 1, 64),
+                                 (lambda d: -1 if d == 6 else 2, lambda d: 0 if d == 4 else 1, 80)]:
+        tree = ts.TreeModel(ts.ROOTED, arity, weight, types=depth_types)
+        for depth in (7, 9):
+            report = ts.validate(tree, ts.Truncation(depth))
+            assert report == validate_by_walk(tree, ts.Truncation(depth))
+            assert len(report.violations) == found
+    one_type = ts.TreeModel(ts.UNROOTED, arity=lambda t: 2, weight=lambda t: 1,
+                            spine_child_index=lambda k: 0,
+                            types=ts.VertexTypes(lambda v: 0, lambda t, i: 0))
+    report = ts.validate(one_type, ts.Truncation(5, 3))
+    assert report == validate_by_walk(one_type, ts.Truncation(5, 3))
+    assert report.checked == 63 + 3 * 32
+
+
+def test_validate_reads_the_arity_rule_o_depth_times():
+    """On a full binary tree of one type, `validate` walks one subtree per
+    remaining depth and counts the rest: the arity rule runs about once per
+    level of the truncation, not once per vertex."""
+    for depth in (8, 16):
+        calls = []
+        tree = ts.TreeModel(ts.ROOTED, arity=lambda t: calls.append(t) or 2, weight=lambda t: 1,
+                            types=ts.VertexTypes(type_of=lambda v: 0, child_type=lambda t, i: 0))
+        report = ts.validate(tree, ts.Truncation(depth))
+        assert (report.ok, report.violations, report.checked) == (True, [], 2 ** (depth + 1) - 1)
+        assert len(calls) <= depth + 2
 
 
 def test_edge_list_round_trip():

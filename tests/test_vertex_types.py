@@ -1,7 +1,9 @@
-"""Vertex types: fiber masses and q rows swept by type, j rows built by the
-spine recurrence and operator norms walked by type must equal the
-vertex-by-vertex results on a type-free copy of the tree.  The level-wise
-`chi_n` must equal a depth-first walk on the same generated trees."""
+"""Vertex types: fiber masses and q rows swept by type and j rows built by
+the spine recurrence must equal the vertex-by-vertex results of a
+depth-first walk (`oracles`), and operator norms walked by type must equal
+those of a copy of the tree where every vertex is its own type.  The
+level-wise `chi_n` must equal a depth-first walk on the same generated
+trees."""
 
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from conftest import (
     outcome,
     spec_documents,
 )
+from oracles import dfs_fiber, fiber_mass_by_walk
 
 
 def _vertices(draw, tree: ts.TreeModel) -> list:
@@ -62,12 +65,12 @@ def test_type_sweep_and_walk_equal_enumeration(data):
     plain = assert_sweep_equals_enumeration(tree, verts)
     for spec in SPACES:  # a q row is one sweep over the type levels below v
         for v in verts:
-            want = outcome(lambda: [ts.fiber_mass(plain, v, n, spec)[1] for n in range(11)])
+            want = outcome(lambda: [fiber_mass_by_walk(tree, v, n, spec)[1] for n in range(11)])
             assert outcome(lambda: criteria._q_row(v, tree, spec, 10)) == want, (v, spec)
     tree.fiber_masses.clear()  # n below the swept level: the sweep restarts
     for v in verts:
         got = outcome(lambda: ts.fiber_mass(tree, v, 3, SPACES[1]))
-        assert got == outcome(lambda: ts.fiber_mass(plain, v, 3, SPACES[1]))
+        assert got == outcome(lambda: fiber_mass_by_walk(tree, v, 3, SPACES[1]))
 
     trunc = ts.Truncation(data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3)))
     for spec in SPACES:
@@ -87,20 +90,19 @@ def test_uniform_presets_walk_by_type(name):
             assert _norm_outcome(spec, tree, trunc) == _norm_outcome(spec, plain, trunc)
 
 
-def _j_reference(v, n: int, plain: ts.TreeModel, spec) -> object:
-    """j(v, n) in the scale of thresholds, from the enumerated fiber of
-    p^n(v) on a tree without vertex types."""
-    s = ts.p_n(v, n, plain)
+def _j_reference(v, n: int, tree: ts.TreeModel, spec) -> object:
+    """j(v, n) in the scale of thresholds, from the fiber of p^n(v) massed
+    vertex by vertex along a depth-first walk."""
+    s = ts.p_n(v, n, tree)
     dual = spec.dual
-    return dual.combine((1 / dual.power(plain.weight(s)), ts.fiber_mass(plain, s, n, spec)[1]))
+    return dual.combine((1 / dual.power(tree.weight(s)), fiber_mass_by_walk(tree, s, n, spec)[1]))
 
 
 def _assert_spine_recurrence(tree: ts.TreeModel, verts, horizon: int = 10) -> None:
     """The j rows built by the spine recurrence equal the per-n j masses of
-    the type-free copy, and each recurrence level lists the types of a fresh
-    sweep below p^n(v), in the same order with the same counts, also when
-    the recurrence restarts below the step it reached."""
-    plain = tree.with_weight(tree.weight)
+    the depth-first walk, and each recurrence level lists the types of a
+    fresh sweep below p^n(v), in the same order with the same counts, also
+    when the recurrence restarts below the step it reached."""
     for v in verts:
         levels = outcome(lambda: [
             list(_spine_fiber(v, n, tree)[1].items()) for n in range(horizon + 1)
@@ -112,18 +114,18 @@ def _assert_spine_recurrence(tree: ts.TreeModel, verts, horizon: int = 10) -> No
                 assert items == list(fresh.items()), (v, n)
             assert list(_spine_fiber(v, 3, tree)[1].items()) == levels[3]
         for spec in SPACES:
-            want = outcome(lambda: [_j_reference(v, n, plain, spec) for n in range(horizon + 1)])
+            want = outcome(lambda: [_j_reference(v, n, tree, spec) for n in range(horizon + 1)])
             got = outcome(lambda: criteria._j_row(v, tree, spec, horizon))
             assert _masses_match(got, want), (v, spec)
             if not isinstance(want, type):
                 jv = ts.j_value(v, horizon, tree, spec)
-                assert _masses_match([jv], [ts.j_value(v, horizon, plain, spec)])
+                assert _masses_match([jv], [criteria._value(want[horizon], spec)])
 
 
 def _masses_match(got, want) -> bool:
     """Equal, except that float masses may differ by the rounding of their
-    sums: enumeration adds 1/|w|^r once per vertex, the sweep count/|w|^r
-    once per type.  (An integer ``ratio`` gives float weights above the
+    sums: the walk adds 1/|w|^r once per vertex, the sweep count/|w|^r once
+    per type.  (An integer ``ratio`` gives float weights above the
     anchor, 1 ** -1 being 1.0.)"""
     if isinstance(got, type) or isinstance(want, type) or len(got) != len(want):
         return got == want
@@ -194,14 +196,6 @@ def test_spine_vertices_keep_the_spine_rule_error():
         ts.q_value(VA(2), 2, tree, SPACES[1])
 
 
-def _dfs_fiber(v, n: int, tree: ts.TreeModel) -> list:
-    """Chi^n(v) by depth-first recursion over `children`: the reference for
-    the level-wise `chi_n`."""
-    if n == 0:
-        return [v]
-    return [u for c in ts.children(v, tree) for u in _dfs_fiber(c, n - 1, tree)]
-
-
 def _sequence_or_error(f):
     """f() or, when it raises InvalidAddressError, its type and message."""
     try:
@@ -211,14 +205,14 @@ def _sequence_or_error(f):
 
 
 def _assert_chi_n_is_depth_first(tree: ts.TreeModel, verts, depths) -> None:
-    """`chi_n` lists the depth-first walk, and on a tree with vertex types
-    the types that `_typed_fiber` gives with it (which `build_Sn` reads) are
-    the types of that walk's vertices."""
+    """`chi_n` lists the depth-first walk, and the types that `_typed_fiber`
+    gives with it (which `build_Sn` reads) are the types of that walk's
+    vertices."""
     for v in verts:
         for n in depths:
-            reference = _sequence_or_error(lambda: _dfs_fiber(v, n, tree))
+            reference = _sequence_or_error(lambda: dfs_fiber(v, n, tree))
             assert _sequence_or_error(lambda: list(ts.chi_n(v, n, tree))) == reference, (v, n)
-            if tree.types is not None and isinstance(reference, list):
+            if isinstance(reference, list):
                 kinds = _typed_fiber(v, n, tree)[1]
                 assert kinds == [tree.type_of(u) for u in reference], (v, n)
 
@@ -243,13 +237,28 @@ def test_level_wise_chi_n_on_spine_starts_and_edge_lists():
                                  range(5))
 
 
+def test_edge_list_fiber_masses_equal_the_walk():
+    """An edge-list tree, where every vertex is its own type, masses its
+    fibers by the one sweep, equal to the vertex-by-vertex walk."""
+    edges = ts.EdgeData(
+        edges=(("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("d", "f")),
+        weights={"r": 1, "a": Fraction(1, 2), "b": 2, "c": 0.75, "d": 5, "e": Fraction(1, 3),
+                 "f": 3.5},
+        anchor="r",
+    )
+    tree = ts.tree_from_edge_data(edges)
+    verts = list(ts.enumerate_truncation(tree, ts.Truncation(3)))
+    assert all(tree.type_of(v) == v for v in verts)
+    assert_sweep_equals_enumeration(tree, verts, range(5))
+
+
 def test_chi_n_errors():
     bad_spine = ts.TreeModel(ts.UNROOTED, arity=lambda v: 2, weight=lambda v: 1,
                              spine_child_index=lambda k: 5)
     with pytest.raises(ts.InvalidAddressError) as got:
         list(ts.chi_n(VA(2), 3, bad_spine))
     with pytest.raises(ts.InvalidAddressError) as ref:
-        _dfs_fiber(VA(2), 3, bad_spine)
+        dfs_fiber(VA(2), 3, bad_spine)
     want = "spine child index 5 out of range at (2; ) (arity 2)"
     assert str(got.value) == str(ref.value) == want
     binary = ts.full_binary()
