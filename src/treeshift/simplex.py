@@ -4,17 +4,19 @@ built from it.
 For nonzero weights (mu_j) the infimum of the weighted norm over the simplex
 {x >= 0, sum x = 1} is `spaces.DualExponent.infimum` of the p*-mass of the
 weights; the minimiser spreads mass proportionally to 1/|mu_j|^p*, or, for
-l^1 (p* = inf), concentrates on an argmin.  These minimisers power the right
-inverses S_n of B^n, the approximate-kernel maps I_n on unrooted trees, and
-the synthesis of vectors whose orbit keeps returning to e_root.
+l^1 (p* = inf), concentrates on a near-argmin.  `_minimiser` is that rule,
+written once: it powers `simplex_optimizer`, the right inverses S_n of B^n,
+the approximate-kernel maps I_n on unrooted trees, and the synthesis of
+vectors whose orbit keeps returning to e_root.
 
-For p > 1 and c0 the minimiser's coefficient at a vertex depends on its
-weight alone, so `build_Sn` computes it once per vertex type.  B only sums
-over children, so B^m of a vector that is constant per type is again
-constant per type, one level up: the synthesis computes its term norms and
-residual certificates per (level, type), bit-identical to evaluating the
-materialised vectors, which it still returns.  In l^1 the certificates are
-evaluated on those vectors.
+On a fiber the minimiser reads the weights once per vertex type in every
+space: for p > 1 and c0 a vertex's coefficient depends on its weight alone,
+and in l^1 the mass goes to the lowest address among the vertices of the
+near-minimal types.  B only sums over children, so B^m of a vector that is
+constant per type is again constant per type, one level up: the synthesis
+computes its term norms and residual certificates per (level, type),
+bit-identical to evaluating the materialised vectors, which it still
+returns.  In l^1 the certificates are evaluated on those vectors.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .trees import (
     VertexAddress,
     _fiber_types,
     _typed_fiber,
-    chi_n,
     p_n,
 )
 
@@ -96,22 +97,28 @@ def simplex_optimizer(inst: SimplexInstance, delta: float = 1e-9) -> list:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    dual = inst.space.dual
-    ws = inst.weights
+    indices = range(len(inst.weights))
+    x, _ = _minimiser(indices, indices, inst.weights.__getitem__, inst.space.dual, delta)
+    return [x.get(i, 0) for i in indices]
+
+
+def _minimiser(labels, kinds, weight, dual: DualExponent, delta):
+    """The simplex minimiser on the members with paired ``labels`` and
+    types ``kinds``, reading ``weight`` once per type, and its mass.  In l^1
+    all mass goes to the lowest label among the members whose |weight| is
+    within ``delta`` of the least: ``({label: 1}, least |weight|)``.
+    Otherwise a member of type k gets 1/|w_k|^p* over the sum of those terms,
+    taken one per member in order: ``({k: coefficient}, that sum)``."""
+    weights = {k: weight(k) for k in dict.fromkeys(kinds)}
+    if 0 in weights.values():
+        raise ValueError("simplex weights must be nonzero")
     if dual.is_max:
-        m = simplex_inf(inst)
-        idx = next(i for i, w in enumerate(ws) if abs(w) <= m + delta)
-        return [1 if i == idx else 0 for i in range(len(ws))]
-    inv = _inverses(ws, dual)
-    total = sum(inv)
-    return [x / total for x in inv]
-
-
-def _inverses(ws, dual: DualExponent) -> list:
-    """1/|w|^p* for each weight, computed once per distinct (type(w), w)."""
-    keys = list(zip(map(type, ws), ws))  # 1, 1.0 and Fraction(1) power differently
-    inverse = {key: 1 / dual.power(key[1]) for key in dict.fromkeys(keys)}
-    return list(map(inverse.__getitem__, keys))
+        least = min(map(abs, weights.values()))
+        near = {k for k, w in weights.items() if abs(w) <= least + delta}
+        return {min(u for u, k in zip(labels, kinds) if k in near): 1}, least
+    inverse = {k: 1 / dual.power(w) for k, w in weights.items()}
+    total = sum(map(inverse.__getitem__, kinds))
+    return {k: x / total for k, x in inverse.items()}, total
 
 
 def build_Sn(
@@ -125,44 +132,33 @@ def build_Sn(
     with total mass 1 (so B^n g = e_v exactly) and norm within delta of the
     simplex infimum of the fiber weights.
 
-    For l^1 the mass concentrates on one near-minimal weight; the fiber is
-    sorted so ties break toward the lowest canonical address.  Otherwise the
-    coefficient of a vertex depends on its weight alone, so it is computed
-    once per vertex type."""
+    The minimiser is computed once per vertex type.  For l^1 the mass
+    concentrates on one vertex whose |weight| is within delta of the least,
+    the lowest canonical address among them; otherwise the coefficient of a
+    vertex depends on its weight alone."""
+    if delta is not None and delta <= 0:
+        raise ValueError("delta must be positive")
     return _right_inverse(v, n, tree, spec, delta)[0]
 
 
 def _right_inverse(v, n: int, tree: TreeModel, spec: SpaceSpec, delta=None):
-    """``build_Sn`` and its description: the fiber's types in depth-first
-    order and the nonzero coefficient of each type.  The description is None
-    for l^1, where the vector has one entry."""
+    """``build_Sn``, its description and the minimiser's mass (`_minimiser`):
+    the fiber's types in depth-first order and the nonzero coefficient of
+    each type, or None for l^1, where the vector has one entry."""
     fiber, kinds = _typed_fiber(v, n, tree)
     if not fiber:
         raise EmptyFiberError(f"Chi^{n}({v}) is empty")
     if delta is None:
         delta = (2.0 ** -n) * 1e-3
-    dual = spec.dual
-    if dual.is_max:
-        fiber = sorted(fiber)
-        x = simplex_optimizer(SimplexInstance(tuple(map(tree.weight, fiber)), spec), delta)
-        return _vector({u: xi for u, xi in zip(fiber, x) if xi != 0}), None
-    types = list(dict.fromkeys(kinds))
-    weights = list(map(tree.type_weight, types))
-    if 0 in weights:
-        raise ValueError("simplex weights must be nonzero")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    # the simplex_optimizer minimiser, one coefficient per type; the total
-    # still takes one term per vertex, in fiber order
-    inv = dict(zip(types, _inverses(weights, dual)))
-    total = sum(map(inv.__getitem__, kinds))
-    coef = {k: x / total for k, x in inv.items()}
+    coef, mass = _minimiser(fiber, kinds, tree.type_weight, spec.dual, delta)
+    if spec.dual.is_max:
+        return _vector(coef), None, mass
     if 0 in coef.values():  # an underflowed coefficient, dropped like any zero
         coef = {k: x for k, x in coef.items() if x != 0}
         g = _vector({u: coef[k] for u, k in zip(fiber, kinds) if k in coef})
     else:
         g = _vector(dict(zip(fiber, map(coef.__getitem__, kinds))))
-    return g, (kinds, coef)
+    return g, (kinds, coef), mass
 
 
 def _along(values: dict, kinds):
@@ -186,32 +182,26 @@ class InUnrootedResult:
 
 
 def build_In_unrooted(v, n: int, tree: TreeModel, spec: SpaceSpec) -> InUnrootedResult:
+    """I_n e_v on an unrooted tree: e_v - h, with h the simplex minimiser on
+    Chi^n(p^n v) (exact in l^1), or e_v when the spine weight is the smaller
+    side.  With M the mass of h and s = 1/|mu(p^n v)|^p*, e_v is kept when
+    2s >= s + M, with bound (2 / (s + M))^(1/p*); in l^1 when |mu(p^n v)| <= M,
+    with bound min(|mu(p^n v)|, M)."""
     if tree.rooted:
         raise RootedTreeError("I_n with spine cancellation needs an unrooted tree")
     s = p_n(v, n, tree)
-    ws = tree.weight(s)
-    fiber = list(chi_n(s, n, tree))
-    weights = tuple(tree.weight(u) for u in fiber)
+    spine = abs(tree.weight(s))
+    h, _, mass = _right_inverse(s, n, tree, spec, 0)
     dual = spec.dual
-
     if dual.is_max:
-        fiber_min = min(abs(w) for w in weights)
-        m = min(abs(ws), fiber_min)
-        if abs(ws) <= fiber_min:
-            return InUnrootedResult(basis(v), "kept", to_float(m))
-        idx = min(range(len(fiber)), key=lambda i: (abs(weights[i]), fiber[i]))
-        h = SparseVector({fiber[idx]: 1})
-        return InUnrootedResult(basis(v) - h, "cancelled", to_float(m))
-
-    spine_term = 1 / dual.power(ws)
-    inv = [1 / dual.power(w) for w in weights]
-    mass = sum(inv)
-    total = spine_term + mass
-    bound = to_float(dual.root(2 / total))
-    if 2 * spine_term >= total:
-        return InUnrootedResult(basis(v), "kept", bound)
-    h = SparseVector({u: x / mass for u, x in zip(fiber, inv)})
-    return InUnrootedResult(basis(v) - h, "cancelled", bound)
+        kept, bound = spine <= mass, min(spine, mass)
+    else:
+        spine_term = 1 / dual.power(spine)
+        total = spine_term + mass
+        kept, bound = 2 * spine_term >= total, dual.root(2 / total)
+    if kept:
+        return InUnrootedResult(basis(v), "kept", to_float(bound))
+    return InUnrootedResult(basis(v) - h, "cancelled", to_float(bound))
 
 
 @dataclass(frozen=True)
@@ -343,7 +333,7 @@ def build_recurrent_vector(
                 f"the term for n = {n} would have {size:,} entries, "
                 f"above the budget of {MAX_TERM_ENTRIES:,}"
             )
-        g, description = _right_inverse(ANCHOR, n, tree, spec)
+        g, description, _ = _right_inverse(ANCHOR, n, tree, spec)
         if description is None:
             g_norm = _norm(g, spec, tree)
         else:

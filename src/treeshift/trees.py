@@ -142,7 +142,8 @@ class TreeModel:
         if kind == UNROOTED and spine_child_index is None:
             raise ValueError("unrooted trees need a spine_child_index rule")
         tree = weakref.ref(self)  # the memo must not keep the tree alive
-        if types is None:  # every vertex is its own type
+        own = types is None  # every vertex is its own type: weight is type_weight
+        if own:
             types = VertexTypes(lambda v: v, lambda v, i: _children(v, tree())[i])
         self.kind = kind
         self.name = name
@@ -157,7 +158,8 @@ class TreeModel:
         type_of = self.type_of = types.type_of
         type_weight = self.type_weight = lru_cache(maxsize=MEMO_SIZE)(weight)
         self.arity = lru_cache(maxsize=MEMO_SIZE)(lambda v: arity(type_of(v)))
-        self.weight = lru_cache(maxsize=MEMO_SIZE)(lambda v: type_weight(type_of(v)))
+        self.weight = type_weight if own else lru_cache(maxsize=MEMO_SIZE)(
+            lambda v: type_weight(type_of(v)))
 
         def child_types(t) -> tuple:
             """The types of the children of a vertex of type ``t``, in order."""

@@ -45,8 +45,8 @@ vertex above the anchor (its children follow the spine rule, which reports an
 out-of-range spine child index), is its own type instead; the parent of such
 a vertex is one too, so depth-typed vertices have depth-typed children.  An
 override address that is not canonical only marks vertices needlessly.
-Malformed counts and scalars, and negative child counts, raise
-`TreeSpecError`.
+Malformed counts and scalars, negative child counts and zero weights
+(``default``, ``coef``, ``ratio`` or an override) raise `TreeSpecError`.
 """
 
 from __future__ import annotations
@@ -167,6 +167,13 @@ def _child_count(text: str, what: str) -> int:
     return count
 
 
+def _weight(text: str, what: str):
+    weight = _parsed(parse_scalar, text, what)
+    if weight == 0:
+        raise TreeSpecError(f"bad {what} {text!r}: weights are nonzero")
+    return weight
+
+
 def _build_edge_data(parser: configparser.ConfigParser, tree_section: dict) -> EdgeData:
     kind = tree_section.get("kind", ROOTED)
     anchor = tree_section.get("anchor")
@@ -218,11 +225,11 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
     weights_section = _read(parser, "weights")
     plain, weight_table = _split_rules(weights_section, {"default", "coef", "ratio"})
     weight_overrides = {
-        addr: _parsed(parse_scalar, v, f"weight at {addr}") for addr, v in weight_table.items()
+        addr: _weight(v, f"weight at {addr}") for addr, v in weight_table.items()
     }
-    ratio = _parsed(parse_scalar, plain["ratio"], "ratio") if "ratio" in plain else None
-    coef = _parsed(parse_scalar, plain.get("coef", "1"), "coef")
-    default_weight = _parsed(parse_scalar, plain.get("default", "1"), "default weight")
+    ratio = _weight(plain["ratio"], "ratio") if "ratio" in plain else None
+    coef = _weight(plain.get("coef", "1"), "coef")
+    default_weight = _weight(plain.get("default", "1"), "default weight")
     if ratio is not None and "default" in plain:
         raise TreeSpecError("give either a constant default weight or coef/ratio")
 

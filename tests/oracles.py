@@ -6,10 +6,11 @@ via dynamic programming over partial sums for larger ones - an implicit but
 still exhaustive enumeration), and analytic tail sums are spelled out from
 first principles.  Fibers, their masses and the tree-axiom checks come from
 depth-first walks over `children` and `enumerate_truncation`, vertex by
-vertex, with no vertex type read.  The one exception is the
-Gamma-supercyclicity scan, which reads the library's displays but tests
-every k at every n: it is the reference for the order in which
-`supercyclicity_report` skips scales.
+vertex, with no vertex type read, and so do the right inverses S_n and the
+maps I_n, whose simplex minimiser weighs the fiber vertex by vertex.  The
+one exception is the Gamma-supercyclicity scan, which reads the library's
+displays but tests every k at every n: it is the reference for the order
+in which `supercyclicity_report` skips scales.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import weakref
 
 import treeshift as ts
 from treeshift.criteria import _j_parts, _j_term
-from treeshift.spaces import fiber_mass
+from treeshift.spaces import fiber_mass, to_float
 from treeshift.trees import ValidationReport, Violation
 
 
@@ -136,6 +137,63 @@ def fiber_mass_by_walk(tree, v, n: int, spec) -> tuple:
         mass = dual.mass(pairs) if pairs else None
         memo[v, n, dual] = mass, 0 if mass is None else dual.combined(mass)
     return memo[v, n, dual]
+
+
+def build_Sn_by_walk(v, n: int, tree, spec, delta=None) -> ts.SparseVector:
+    """`build_Sn` from the depth-first fiber, weighed vertex by vertex.  In
+    l^1 the fiber is sorted and all mass goes to the first vertex whose
+    |weight| is within ``delta`` of the least; otherwise a vertex u gets
+    1/|mu_u|^p* over the sum of those terms, in walk order."""
+    fiber = dfs_fiber(v, n, tree)
+    if not fiber:
+        raise ts.EmptyFiberError(f"Chi^{n}({v}) is empty")
+    if delta is None:
+        delta = (2.0 ** -n) * 1e-3
+    weights = [tree.weight(u) for u in fiber]
+    if 0 in weights:
+        raise ValueError("simplex weights must be nonzero")
+    dual = spec.dual
+    if dual.is_max:
+        fiber, weights = zip(*sorted(zip(fiber, weights)))
+        least = min(abs(w) for w in weights)
+        return ts.SparseVector({next(u for u, w in zip(fiber, weights)
+                                     if abs(w) <= least + delta): 1})
+    inv = [1 / dual.power(w) for w in weights]
+    total = sum(inv)
+    return ts.SparseVector({u: x / total for u, x in zip(fiber, inv)})
+
+
+def build_In_by_walk(v, n: int, tree, spec) -> ts.InUnrootedResult:
+    """`build_In_unrooted` from the depth-first fiber below p^n(v), weighed
+    vertex by vertex: in l^1 the correction sits on the lowest address of
+    least |weight|, otherwise it is spread as 1/|mu_u|^p*.  The fiber holds
+    v unless a spine vertex above v has no children, which the spine rule
+    forbids: that fiber is empty, and an error."""
+    if tree.rooted:
+        raise ts.RootedTreeError("I_n with spine cancellation needs an unrooted tree")
+    s = ts.p_n(v, n, tree)
+    ws = tree.weight(s)
+    fiber = dfs_fiber(s, n, tree)
+    if not fiber:
+        raise ts.EmptyFiberError(f"Chi^{n}({s}) is empty")
+    weights = tuple(tree.weight(u) for u in fiber)
+    dual = spec.dual
+    if dual.is_max:
+        fiber_min = min(abs(w) for w in weights)
+        m = to_float(min(abs(ws), fiber_min))
+        if abs(ws) <= fiber_min:
+            return ts.InUnrootedResult(ts.basis(v), "kept", m)
+        idx = min(range(len(fiber)), key=lambda i: (abs(weights[i]), fiber[i]))
+        return ts.InUnrootedResult(ts.basis(v) - ts.basis(fiber[idx]), "cancelled", m)
+    spine_term = 1 / dual.power(ws)
+    inv = [1 / dual.power(w) for w in weights]
+    mass = sum(inv)
+    total = spine_term + mass
+    bound = to_float(dual.root(2 / total))
+    if 2 * spine_term >= total:
+        return ts.InUnrootedResult(ts.basis(v), "kept", bound)
+    h = ts.SparseVector({u: x / mass for u, x in zip(fiber, inv)})
+    return ts.InUnrootedResult(ts.basis(v) - h, "cancelled", bound)
 
 
 def validate_by_walk(tree, trunc) -> ValidationReport:

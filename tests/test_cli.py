@@ -319,6 +319,12 @@ _CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
     pytest.param("validate", "tree", _CUSTOM + "default = 1\n[weights]\ndefault = abc\n",
                  id="spec-bad-weight"),
     pytest.param("criteria", "tree", _CUSTOM + "default = -1\n", id="spec-negative-arity"),
+    *(pytest.param(command, "tree", _CUSTOM + "default = 2\n[weights]\n" + weights,
+                   id=f"{command}-spec-zero-weight")
+      for command, weights in [
+          ("validate", "default = 1\n(0; 1) = 0\n"), ("criteria", "default = 0\n"),
+          ("norm", "coef = 0\nratio = 2\n"), ("return-set", "ratio = 0\n"),
+      ]),
     pytest.param("criteria", "argv", "--family syndetic:x", id="family-bad-gap"),
     pytest.param("criteria", "argv", "--family syndetic:0", id="family-zero-gap"),
     pytest.param("supercyclic", "argv", "--gamma powers:x", id="gamma-bad-ratio"),

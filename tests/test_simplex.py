@@ -167,6 +167,33 @@ def test_build_Sn_right_inverse_exact(ex41_exact, ex72_exact):
                 assert sum(x for _, x in g.items()) == 1
 
 
+def test_minimiser_reads_fiber_weights_by_type():
+    """The l^1 right inverse reads no weight by address, and I_n only the
+    spine weight mu(p^n v): the fiber's weights are read once per type."""
+    binary = ts.full_binary()
+    assert ts.build_Sn(VA(0), 12, binary, L1) == ts.basis(VA(0, (0,) * 12))
+    info = binary.weight.cache_info()
+    assert info.hits + info.misses == 0
+    ex72 = ts.example_7_2()
+    for spec in (L1, L2):
+        assert ts.build_In_unrooted(chain_vertex(0, 1), 6, ex72, spec).branch == "cancelled"
+    info = ex72.weight.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_l1_ties_go_to_the_lowest_address():
+    """Depth-first order is not address order on an unrooted fiber: below
+    spine child index 1, Chi^2((2; )) starts at (2; 0.0), and its lowest
+    address is (0; ).  All its weights tie, and l^1 picks (0; )."""
+    tree = ts.parse_tree_spec("[tree]\nkind = unrooted\n[arity]\ndefault = 3\n"
+                              "[spine]\nchild_index = 1\n[weights]\ncoef = 1\nratio = 1/2\n").source
+    assert next(ts.chi_n(VA(2), 2, tree)) == VA(2, (0, 0))
+    assert ts.build_Sn(VA(2), 2, tree, L1) == ts.basis(VA(0))
+    result = ts.build_In_unrooted(VA(2, (0, 0)), 2, tree, L1)
+    assert (result.branch, result.bound) == ("cancelled", 1.0)
+    assert result.vector == ts.basis(VA(2, (0, 0))) - ts.basis(VA(0))
+
+
 def test_build_Sn_empty_fiber_raises():
     leafy = ts.TreeModel(
         ts.ROOTED, arity=lambda v: 0 if len(v.path) >= 1 else 1, weight=lambda v: 1

@@ -83,6 +83,17 @@ def test_leaf_has_no_children():
     assert ts.children(VA(0), leafy) == []
 
 
+def test_type_free_tree_has_one_weight_memo(binary):
+    """Where every vertex is its own type, an address is its type: its weight
+    has one memo entry, read through `weight` and `type_weight` alike."""
+    plain = binary.with_weight(binary.weight)
+    for v in ts.chi_n(VA(0), 3, plain):
+        assert plain.weight(v) == plain.type_weight(v) == 1
+    assert plain.weight is plain.type_weight
+    assert plain.weight.cache_info().currsize == 8
+    assert binary.weight is not binary.type_weight
+
+
 def test_parent_examples(binary, ex72):
     assert ts.parent(VA(0), binary) is None
     assert ts.parent(VA(0), ex72) == spine_vertex(1)

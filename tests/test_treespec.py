@@ -179,6 +179,16 @@ def test_malformed_documents_rejected():
         )
 
 
+@pytest.mark.parametrize("weights", [
+    "default = 0", "default = 0.0", "(0; 1) = 0", "coef = 0\nratio = 2", "ratio = 0/3",
+])
+def test_zero_weights_rejected(weights):
+    """A zero weight in a custom document is a parse error, as a negative
+    child count is; edge lists keep their ZeroWeight report."""
+    with pytest.raises(ts.TreeSpecError, match="weights are nonzero"):
+        parse_tree_spec(f"[tree]\nkind = rooted\n[arity]\ndefault = 2\n[weights]\n{weights}\n")
+
+
 def test_geometric_weights_above_anchor():
     doc = parse_tree_spec(
         """

@@ -3,7 +3,8 @@ the spine recurrence must equal the vertex-by-vertex results of a
 depth-first walk (`oracles`), and operator norms walked by type must equal
 those of a copy of the tree where every vertex is its own type.  The
 level-wise `chi_n` must equal a depth-first walk on the same generated
-trees."""
+trees, and so must the right inverses S_n and the maps I_n, which read the
+fiber's weights once per type."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from conftest import (
     outcome,
     spec_documents,
 )
-from oracles import dfs_fiber, fiber_mass_by_walk
+from oracles import build_In_by_walk, build_Sn_by_walk, dfs_fiber, fiber_mass_by_walk
 
 
 def _vertices(draw, tree: ts.TreeModel) -> list:
@@ -302,6 +303,41 @@ def test_right_inverse_is_exact_on_generated_trees(data):
                 assert ts.apply_B_pow(g, n, tree) == ts.basis(v), (v, n, spec)
                 inf = ts.fiber_simplex_inf(tree, v, n, spec)
                 assert abs(float(ts.norm(g, spec, tree)) - inf) <= 2.0 ** -n * 1e-3, (v, n, spec)
+
+
+def _shown(f):
+    """The repr and the typed entries, in order, of f() or of its vector, or
+    the type of the error it raises on a malformed or leafy tree."""
+    try:
+        x = f()
+    except (ts.InvalidAddressError, ts.EmptyFiberError) as exc:
+        return type(exc)
+    vector = x.vector if isinstance(x, ts.InUnrootedResult) else x
+    return repr(x), [(u, y, type(y)) for u, y in vector.items()]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_minimiser_by_type_equals_the_vertex_walk(data):
+    """`build_Sn` and `build_In_unrooted`, which read the fiber's weights by
+    type, equal the references weighed vertex by vertex, by repr: with exact
+    and float weights, and on copies where every vertex is its own type, so
+    equal weights of different types tie (l^1 puts the mass on the lowest
+    address)."""
+    doc = data.draw(spec_documents())
+    typed = [parse_tree_spec(doc).source, parse_tree_spec(_floats(doc)).source]
+    trees = typed + [t.with_weight(t.weight) for t in typed]
+    verts = _vertices(data.draw, typed[0])
+    delta = data.draw(st.sampled_from([None, 0.5]))
+    for tree in trees:
+        for v in verts:
+            n = data.draw(st.integers(0, 5))
+            for spec in [*SPACES, ts.SpaceSpec.ell("3/2")]:
+                want = _shown(lambda: build_Sn_by_walk(v, n, tree, spec, delta))
+                assert _shown(lambda: ts.build_Sn(v, n, tree, spec, delta)) == want, (v, n)
+                if not tree.rooted:
+                    want = _shown(lambda: build_In_by_walk(v, n, tree, spec))
+                    assert _shown(lambda: ts.build_In_unrooted(v, n, tree, spec)) == want
 
 
 _GENEROUS = ts.TailBudget(lambda j: 1e9)  # every nonempty fiber is retained
