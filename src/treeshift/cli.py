@@ -23,12 +23,17 @@ command runs.
 Every CSV schema is fixed per command (see each subcommand's --help); floats
 are printed with 12 significant digits and output is byte-deterministic for a
 given config and seed.
+
+The argument parser is built once per process, on the first call of `main`
+(`build_parser` is cached): argparse keeps no state between parses, and every
+flag default is immutable, so in-process calls share it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -454,6 +459,7 @@ def _epilog(header) -> str:
     return "CSV: " + ",".join(header)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeshift",

@@ -107,13 +107,13 @@ def operator_norm(
     best_at = None
     frontier_open = tree.kind == "unrooted"
     for v in enumerate_distinct_subtrees(tree, trunc):
-        a = tree.arity(v)
-        if a <= 0:
+        kids = _children(v, tree)  # raises at a spine vertex without its spine child
+        if not kids:
             continue
         if len(v.path) == trunc.depth:
             frontier_open = True
         wv = tree.weight(v)
-        cand = dual.combine(dual.power(wv / tree.weight(u)) for u in _children(v, tree))
+        cand = dual.combine(dual.power(wv / tree.weight(u)) for u in kids)
         if best is None or cand > best:
             best, best_at = cand, v
     if best is None:  # single isolated root

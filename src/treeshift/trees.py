@@ -238,9 +238,10 @@ def canonicalize(addr, tree: TreeModel) -> VertexAddress:
 
 
 def _children(v: VertexAddress, tree: TreeModel) -> list[VertexAddress]:
+    """The children of ``v``, unchecked.  A spine vertex (k; ), k > 0, has at
+    least its spine child (k - 1; ): an arity that does not cover the spine
+    child index, 0 included, raises InvalidAddressError."""
     a = tree.arity(v)
-    if a <= 0:
-        return []
     up, base = v
     if up > 0 and not base:
         s = tree.spine_child_index(up - 1)

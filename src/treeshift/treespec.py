@@ -1,7 +1,8 @@
 """Structured text documents describing trees.
 
-The format is INI-style (configparser).  A document names either a preset, an
-explicit finite edge list, or custom arity/weight rules:
+The format is INI-style (configparser, without interpolation: keys and values
+are read literally, so ``%`` is an ordinary character).  A document names
+either a preset, an explicit finite edge list, or custom arity/weight rules:
 
     [tree]
     kind = rooted            ; rooted | unrooted
@@ -86,7 +87,7 @@ def _read(parser: configparser.ConfigParser, section: str) -> dict:
 
 def parse_tree_spec(text: str) -> TreeSpecDocument:
     parser = configparser.ConfigParser(
-        delimiters=("=",), allow_no_value=True, strict=True
+        delimiters=("=",), allow_no_value=True, strict=True, interpolation=None
     )
     parser.optionxform = str
     try:

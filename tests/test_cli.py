@@ -419,3 +419,59 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
     assert lines and all(line.startswith("treeshift ") for line in lines)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_spine_vertex_of_arity_0_is_a_usage_error_outside_validate(tmp_path, capsys):
+    """Spine vertices without children cannot hold their spine child:
+    `validate` reports each, and the commands that read children exit 2
+    with one line instead of answering."""
+    spec = tmp_path / "bare_spine.ini"
+    spec.write_text("[tree]\nkind = unrooted\n[arity]\ndefault = 0\n[spine]\nchild_index = 0\n")
+    assert main(["validate", "--tree", str(spec)]) == 2
+    assert capsys.readouterr().out == "validated 17 vertices: INVALID\n" + "".join(
+        f"  SpineIndexOutOfRange at ({k}; ): spine child index 0 not below arity 0\n"
+        for k in range(1, 17))
+    for command in ("norm", "criteria", "supercyclic", "limit-point", "return-set"):
+        assert main([command, "--tree", str(spec)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spine child index 0 out of range at (1; ) (arity 0)\n"
+
+
+def test_in_process_calls_share_one_parser_and_carry_no_state(tmp_path, capsys):
+    """`main` parses with one parser per process.  A mixed sequence of calls
+    (a flag given then left out, a command whose default differs from the
+    flag's own, a malformed value) gives each call the stdout, stderr, exit
+    code and CSV bytes of the same call on a freshly built parser."""
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["criteria", "--preset", "example_7_2", "--exact", "--horizon", "12"],
+        ["criteria", "--preset", "example_7_2", "--horizon", "12"],
+        ["reproduce", "example_7_2_orbit"],
+        ["criteria", "--preset", "unary_path"],
+        ["criteria", "--preset", "unary_path", "--horizon", "x"],
+        ["criteria", "--preset", "unary_path", "--horizon", "-1"],
+        ["limit-point", "--preset", "example_7_2", "--horizon", "12"],
+    ]
+
+    def run(folder, fresh):
+        outcomes = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            csv_path = tmp_path / folder / f"{i}.csv"
+            csv_path.parent.mkdir(exist_ok=True)
+            try:
+                code = main([*argv, "--csv", str(csv_path)])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            data = csv_path.read_bytes() if csv_path.exists() else None
+            outcomes.append((code, captured.out, captured.err, data))
+        return outcomes
+
+    shared = run("shared", fresh=False)
+    assert shared == run("fresh", fresh=True)
+    assert [code for code, *_ in shared] == [0, 0, 0, 0, 2, 2, 0]
+    assert "horizon 64" in shared[3][1]
+    assert cli.build_parser() is cli.build_parser()

@@ -200,6 +200,25 @@ def test_validate_reports_a_spine_child_index_out_of_range():
     assert report.checked == 23
 
 
+def test_a_spine_vertex_without_its_spine_child_raises():
+    """A spine vertex (k; ) of arity 0 lacks its spine child (k - 1; ), as one
+    whose arity is not above the spine child index does: its children, the
+    fibers above the anchor and the operator norm raise InvalidAddressError
+    instead of treating it as a leaf, while `validate` reports it."""
+    doc = "[tree]\nkind = unrooted\n[arity]\ndefault = 0\n[spine]\nchild_index = 0\n"
+    tree = parse_tree_spec(doc).source
+    assert ts.children(VA(0), tree) == []
+    missing = r"spine child index 0 out of range at \(1; \) \(arity 0\)"
+    with pytest.raises(ts.InvalidAddressError, match=missing):
+        ts.children(VA(1), tree)
+    with pytest.raises(ts.InvalidAddressError, match=missing):
+        list(ts.chi_n(VA(1), 1, tree))
+    with pytest.raises(ts.InvalidAddressError, match=missing):
+        ts.operator_norm(ts.SpaceSpec.ell(2), tree)
+    report = ts.validate(tree, ts.Truncation(depth=2, ancestry=3))
+    assert [v.where for v in report.violations] == ["(1; )", "(2; )", "(3; )"]
+
+
 def _with_bad_types(tree: ts.TreeModel, negative, zero) -> ts.TreeModel:
     """``tree`` with its vertex types, where the types in ``negative`` have
     arity -1 and those in ``zero`` weight 0; every other type keeps the

@@ -8,6 +8,7 @@ import pytest
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
+from treeshift.cli import main
 from treeshift.treespec import load_tree_spec, parse_tree_spec, resolve_model
 
 L2 = ts.SpaceSpec.ell(2)
@@ -218,3 +219,29 @@ def test_readme_tree_spec_examples_load_and_validate(tmp_path):
         doc = load_tree_spec(path)
         report = ts.validate(doc.source, doc.truncation)
         assert report.ok, (block, report.violations)
+
+
+@pytest.mark.parametrize("doc, error", [
+    ("[tree]\nkind = rooted\n[arity]\ndefault = 2\n[weights]\ndefault = 1%\n",
+     "error: bad default weight '1%'\n"),
+    ("[tree]\nkind = rooted\nanchor = a\n[edges]\na -> b\n[edge_weights]\na = 1\nb = %(x)s\n",
+     "error: bad weight of b '%(x)s'\n"),
+], ids=["percent-default-weight", "interpolation-edge-weight"])
+def test_values_with_percent_are_read_literally(tmp_path, capsys, doc, error):
+    """A `%` in a value is an ordinary character, as in a key: a weight
+    holding one is a malformed scalar, a usage error with one line."""
+    path = tmp_path / "percent.ini"
+    path.write_text(doc)
+    assert main(["validate", "--tree", str(path)]) == 2
+    assert capsys.readouterr().err == error
+
+
+def test_percent_in_a_label_matches_in_keys_and_values(tmp_path, capsys):
+    """The anchor value `a%%b` names the same vertex as the edge key
+    `a%%b -> c`: neither is interpolated."""
+    path = tmp_path / "labels.ini"
+    path.write_text("[tree]\nkind = rooted\nanchor = a%%b\n[edges]\na%%b -> c\n"
+                    "[edge_weights]\na%%b = 1\nc = 1/2\n")
+    assert load_tree_spec(path).source.anchor == "a%%b"
+    assert main(["validate", "--tree", str(path)]) == 0
+    assert capsys.readouterr().out == "validated 2 vertices: OK\n"
