@@ -26,7 +26,10 @@ given config and seed.
 
 The argument parser is built once per process, on the first call of `main`
 (`build_parser` is cached): argparse keeps no state between parses, and every
-flag default is immutable, so in-process calls share it.
+flag default is immutable, so in-process calls share it.  A --tree document
+is read on every call, but its text is parsed once per process
+(`treespec.parse_tree_spec` keeps the parse, not the tree): each command
+still builds its own TreeModel.
 """
 
 from __future__ import annotations

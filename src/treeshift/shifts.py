@@ -8,7 +8,10 @@ weighted-shift boundedness criterion, a p*-mass of weight ratios combined by
 infinite trees that value is a certified lower bound.
 
 Public functions check the addresses of the vectors they are given; vectors
-built here (B-iterates, witnesses) go through the unchecked kernels.  B^n
+built here (B-iterates, witnesses) go through the unchecked kernels.  On
+unrooted trees `apply_B`, `apply_B_pow` and `orbit` also check each spine
+vertex an entry moves onto for its spine child, which raises
+InvalidAddressError on a spine whose arity rule leaves that child out.  B^n
 and S results and orbit copies hold no zeros by construction, so they are
 wrapped without the `SparseVector` constructor's zero filter.
 """
@@ -31,6 +34,7 @@ from .trees import (
 def apply_B(f: SparseVector, tree: TreeModel) -> SparseVector:
     """(Bf)(v) = sum of f over the children of v; empty sums are zero."""
     _check_support(f, tree)
+    _check_spine_moves(f, 1, tree)
     return _apply_B_pow(f, 1, tree)
 
 
@@ -46,7 +50,28 @@ def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_support(f, tree)
+    _check_spine_moves(f, n, tree)
     return _apply_B_pow(f, n, tree)
+
+
+def _check_spine_moves(f: SparseVector, n: int, tree: TreeModel) -> None:
+    """Raise InvalidAddressError, as `trees._children` does, when B^n moves an
+    entry of f onto a spine vertex (k; ) whose arity does not cover its spine
+    child index: (k - 1; ) is then not its child.  `_apply_B_pow` moves
+    entries by address arithmetic and would not notice.  Each spine vertex
+    reached is checked once, by one rule lookup."""
+    if tree.rooted:
+        return
+    tops: dict[int, int] = {}  # the spine levels k in low < k <= top are reached
+    for up, path in f:
+        top = up + n - len(path)
+        if top > tops.get(up, up):
+            tops[up] = top
+    checked = 0
+    for low in sorted(tops):
+        for k in range(max(low, checked) + 1, tops[low] + 1):
+            _children(VertexAddress(k, ()), tree)
+        checked = max(checked, tops[low])
 
 
 def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
@@ -146,6 +171,7 @@ def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list
         if not cur:
             break
         if n < n_max:
+            _check_spine_moves(cur, 1, tree)
             cur = _apply_B_pow(cur, 1, tree)
     return out
 

@@ -11,7 +11,9 @@ per-entry ``power`` of a norm or a fiber is one ``**``.  The mass of a norm
 and Fraction entries and weights and an exponent of 1 or an integer, it is
 summed as Python ints over one common denominator (`_rational_sum`), and
 one Fraction is built at the end; any other input is summed term by term,
-left to right, as ``sum`` does.
+left to right, as ``sum`` does.  A fiber mass (`DualExponent.mass`) of int
+and Fraction weights with such an exponent is summed the same way, one
+Fraction per mass instead of a Fraction division and addition per term.
 
 A `SparseVector` never stores a zero: its constructor filters them out of
 whatever it is given, while vectors the library builds from dicts that
@@ -25,6 +27,7 @@ address.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -159,10 +162,38 @@ class DualExponent:
         """The mass of (weight, count) pairs: sum count/|w|^r, with ``div``
         as the division.  For r = inf, where the terms 1/|w| combine by max,
         the mass is min |w| instead, so that the l^1 simplex infimum is that
-        weight itself and not a rounded 1/fl(1/w)."""
+        weight itself and not a rounded 1/fl(1/w).
+
+        With the default ``div`` and r = 1 or an integer r, pairs of an int
+        or Fraction weight and an int count are summed as Python ints over
+        one common denominator, as in `_rational_sum`, and one Fraction is
+        built at the end: equal in value and type to the sum of the
+        ``safe_div`` terms.  From the first pair of another type on, the
+        terms are summed left to right as ``sum`` does, after that exact
+        Fraction, so float and mixed masses are unchanged bit for bit."""
         if self.is_max:
             return min(abs(w) for w, _ in pairs)
-        return sum(div(count, self.power(w)) for w, count in pairs)
+        if div is not safe_div or not self._exact:
+            return sum(div(count, self.power(w)) for w, count in pairs)
+        e = self._exponent
+        num, den = 0, 1
+        gcd = math.gcd
+        pairs = iter(pairs)
+        i = 0  # pairs read so far, the one that ends the exact sum included
+        for i, (w, count) in enumerate(pairs, 1):
+            if type(w) not in _RATIONAL or type(count) is not int:
+                break
+            a = count * w.denominator ** e  # the term count/|w|^e is a/b
+            b = abs(w.numerator) ** e
+            if den % b:
+                scale = b // gcd(den, b)
+                num, den = num * scale, den * scale
+            num += a * (den // b)
+        else:
+            return Fraction(num, den) if i else 0
+        head = (Fraction(num, den),) if i > 1 else ()
+        rest = itertools.chain(((w, count),), pairs)
+        return sum(itertools.chain(head, (div(c, self.power(x)) for x, c in rest)))
 
     def combined(self, mass):
         """The combined terms 1/|w|^r a ``mass`` stands for, in the scale of

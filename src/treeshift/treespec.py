@@ -2,37 +2,51 @@
 
 The format is INI-style (configparser, without interpolation: keys and values
 are read literally, so ``%`` is an ordinary character).  A document names
-either a preset, an explicit finite edge list, or custom arity/weight rules:
+either a preset, an explicit finite edge list, or custom arity/weight rules.
+Comments go on their own lines, starting with ``#`` or ``;``: a ``;`` after a
+value is part of the value, because addresses such as ``(0; 1)`` contain one.
 
     [tree]
-    kind = rooted            ; rooted | unrooted
-    preset = example_4_1     ; optional: full_binary, unary_path, example_4_1,
-                             ;           example_7_2, bi_infinite_path
-    m = pow2                 ; example_4_1 block parameter: pow2 or 2,4,8,...
-    exact = false            ; Fraction weights instead of floats
-    anchor = a               ; edge-list trees: the anchor label
+    # rooted | unrooted
+    kind = rooted
+    # optional: full_binary, unary_path, example_4_1, example_7_2,
+    # bi_infinite_path
+    preset = example_4_1
+    # example_4_1 block parameter: pow2 or 2,4,8,...
+    m = pow2
+    # Fraction weights instead of floats
+    exact = false
+    # edge-list trees: the anchor label
+    anchor = a
 
-    [edges]                  ; explicit finite edge list (rooted only)
+    # an explicit finite edge list (rooted only)
+    [edges]
     a -> b
     a -> c
 
-    [edge_weights]           ; weights by label for edge-list trees
+    # weights by label for edge-list trees
+    [edge_weights]
     a = 1
     b = 1/2
 
-    [arity]                  ; custom rule-backed trees
+    # custom rule-backed trees
+    [arity]
     default = 1
-    by_level = 2,1           ; child counts by depth below the anchor
-    (0; 1) = 3               ; per-address overrides
+    # child counts by depth below the anchor
+    by_level = 2,1
+    # a per-address override
+    (0; 1) = 3
 
-    [spine]                  ; unrooted custom trees
+    # unrooted custom trees
+    [spine]
     child_index = 0
 
+    # a constant default weight, or a geometric closed form
+    # mu(v) = coef * ratio ** signed_depth(v), and per-address overrides
     [weights]
-    default = 1              ; constant weight, or a geometric closed form:
-    coef = 1                 ; mu(v) = coef * ratio ** signed_depth(v)
+    coef = 1
     ratio = 1/2
-    (0; 0) = 1/4             ; per-address overrides
+    (0; 0) = 1/4
 
     [truncation]
     depth = 16
@@ -48,13 +62,23 @@ a vertex is one too, so depth-typed vertices have depth-typed children.  An
 override address that is not canonical only marks vertices needlessly.
 Malformed counts and scalars, negative child counts and zero weights
 (``default``, ``coef``, ``ratio`` or an override) raise `TreeSpecError`.
+
+A text is parsed once per process: `parse_tree_spec` keeps what the parse
+yields (the preset and its parameters, the edge list, or the rule tables)
+for the last ``_PARSED_TEXTS`` texts, keyed by the text itself.  Each call
+still builds its own `TreeModel`, whose memos are its own; an edge list's
+`EdgeData` is shared between calls, so its weights are read-only.
+`load_tree_spec` reads the file on every call, so an edited file is parsed
+again.  A malformed text is not kept: it raises on every call.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass
-from typing import Union
+from types import MappingProxyType
+from typing import Callable, Union
 
 from .errors import TreeSpecError
 from .presets import EXACT_PRESETS, PRESETS, make_preset
@@ -72,7 +96,7 @@ from .trees import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeSpecDocument:
     source: Union[TreeModel, EdgeData]
     truncation: Truncation
@@ -85,7 +109,23 @@ def _read(parser: configparser.ConfigParser, section: str) -> dict:
     return dict(parser.items(section))
 
 
+# How many document texts `_parse_text` keeps: a few files, each read by a
+# session of commands, fit with room to spare.
+_PARSED_TEXTS = 32
+
+
 def parse_tree_spec(text: str) -> TreeSpecDocument:
+    """The document a tree-spec text describes, with a `TreeModel` of its
+    own (or the text's shared `EdgeData`)."""
+    build, trunc, name = _parse_text(text)
+    return TreeSpecDocument(build(), trunc, name)
+
+
+@functools.lru_cache(maxsize=_PARSED_TEXTS)
+def _parse_text(text: str) -> tuple[Callable[[], Union[TreeModel, EdgeData]], Truncation, str]:
+    """``(build, truncation, name)`` of a text, where ``build()`` returns a new
+    TreeModel, or the edge list, from what the parse read.  Kept per text:
+    nothing it returns is ever changed, and an error is raised, not kept."""
     parser = configparser.ConfigParser(
         delimiters=("=",), allow_no_value=True, strict=True, interpolation=None
     )
@@ -107,14 +147,13 @@ def parse_tree_spec(text: str) -> TreeSpecDocument:
 
     preset = tree_section.get("preset")
     if preset is not None:
-        return TreeSpecDocument(_build_preset(preset, tree_section), trunc, preset)
+        return _preset_builder(preset, tree_section), trunc, preset
 
     if parser.has_section("edges"):
-        return TreeSpecDocument(
-            _build_edge_data(parser, tree_section), trunc, "edge-list"
-        )
+        data = _build_edge_data(parser, tree_section)
+        return (lambda: data), trunc, "edge-list"
 
-    return TreeSpecDocument(_build_custom(parser, tree_section), trunc, "custom")
+    return _custom_builder(parser, tree_section), trunc, "custom"
 
 
 def load_tree_spec(path) -> TreeSpecDocument:
@@ -129,7 +168,7 @@ def resolve_model(doc: TreeSpecDocument) -> TreeModel:
     return tree_from_edge_data(doc.source)
 
 
-def _build_preset(preset: str, tree_section: dict) -> TreeModel:
+def _preset_builder(preset: str, tree_section: dict) -> Callable[[], TreeModel]:
     if preset not in PRESETS:
         raise TreeSpecError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
     params = {}
@@ -140,8 +179,9 @@ def _build_preset(preset: str, tree_section: dict) -> TreeModel:
         if m_text == "pow2":
             params["m"] = "pow2"
         else:
-            params["m"] = _parsed(lambda t: [int(x) for x in t.split(",")], m_text, "m-sequence")
-    return make_preset(preset, **params)
+            params["m"] = _parsed(lambda t: tuple(int(x) for x in t.split(",")), m_text,
+                                  "m-sequence")
+    return lambda: make_preset(preset, **params)
 
 
 def _parse_bool(text: str) -> bool:
@@ -193,7 +233,7 @@ def _build_edge_data(parser: configparser.ConfigParser, tree_section: dict) -> E
         label: _parsed(parse_scalar, value, f"weight of {label}")
         for label, value in _read(parser, "edge_weights").items()
     }
-    return EdgeData(tuple(edges), weights, anchor, kind)
+    return EdgeData(tuple(edges), MappingProxyType(weights), anchor, kind)
 
 
 def _split_rules(section: dict, reserved: set[str]):
@@ -208,7 +248,8 @@ def _split_rules(section: dict, reserved: set[str]):
     return plain, table
 
 
-def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> TreeModel:
+def _custom_builder(parser: configparser.ConfigParser,
+                    tree_section: dict) -> Callable[[], TreeModel]:
     kind = tree_section.get("kind")
     if kind not in (ROOTED, UNROOTED):
         raise TreeSpecError("custom trees need kind = rooted | unrooted")
@@ -218,7 +259,7 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
     default_arity = _child_count(plain.get("default", "0"), "default arity")
     by_level = None
     if "by_level" in plain:
-        by_level = [_child_count(x, "by_level arity") for x in plain["by_level"].split(",")]
+        by_level = tuple(_child_count(x, "by_level arity") for x in plain["by_level"].split(","))
     arity_overrides = {
         addr: _child_count(v, f"arity at {addr}") for addr, v in arity_table.items()
     }
@@ -258,11 +299,11 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
         idx = _parsed(int, spine_section.get("child_index", "0"), "spine child_index")
         spine_rule = lambda k: idx
 
-    marked = {
+    marked = frozenset(
         VertexAddress(a.up, a.path[:i])
         for a in (*arity_overrides, *weight_overrides)
         for i in range(len(a.path) + 1)
-    }
+    )
 
     def type_of(v: VertexAddress):
         if v in marked or (v.up and not v.path):
@@ -270,4 +311,4 @@ def _build_custom(parser: configparser.ConfigParser, tree_section: dict) -> Tree
         return v.signed_depth
 
     types = VertexTypes(type_of, child_type=lambda d, i: d + 1)
-    return TreeModel(kind, arity, weight, spine_rule, name="custom", types=types)
+    return lambda: TreeModel(kind, arity, weight, spine_rule, name="custom", types=types)

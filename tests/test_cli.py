@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treeshift as ts
-from treeshift import cli, criteria
+from treeshift import cli, criteria, treespec
 from treeshift.cli import main
 from treeshift.shifts import return_set_report
 from treeshift.spaces import DualExponent, to_float
@@ -431,7 +431,7 @@ def test_spine_vertex_of_arity_0_is_a_usage_error_outside_validate(tmp_path, cap
     assert capsys.readouterr().out == "validated 17 vertices: INVALID\n" + "".join(
         f"  SpineIndexOutOfRange at ({k}; ): spine child index 0 not below arity 0\n"
         for k in range(1, 17))
-    for command in ("norm", "criteria", "supercyclic", "limit-point", "return-set"):
+    for command in ("norm", "orbit", "criteria", "supercyclic", "limit-point", "return-set"):
         assert main([command, "--tree", str(spec)]) == 2, command
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -475,3 +475,38 @@ def test_in_process_calls_share_one_parser_and_carry_no_state(tmp_path, capsys):
     assert [code for code, *_ in shared] == [0, 0, 0, 0, 2, 2, 0]
     assert "horizon 64" in shared[3][1]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_tree_documents_parsed_once_give_the_outputs_of_fresh_parses(tmp_path, capsys):
+    """Commands on one --tree file read its kept parse: each call gives the
+    stdout, exit code and CSV bytes of the same call after the memo of
+    parsed texts is cleared."""
+    spec = tmp_path / "tree.ini"
+    spec.write_text("[tree]\nkind = unrooted\n[arity]\ndefault = 2\n(1; 0) = 3\n"
+                    "[spine]\nchild_index = 1\n[weights]\ncoef = 1\nratio = 1/2\n(0; 1) = 1/8\n"
+                    "[truncation]\ndepth = 6\nancestry = 4\n")
+    calls = [
+        ["validate"],
+        ["criteria", "--horizon", "12"],
+        ["norm", "--space", "4/3"],
+        ["limit-point", "--horizon", "12", "--space", "c0"],
+        ["criteria", "--horizon", "12", "--space", "1"],
+        ["validate", "--depth", "3"],
+    ]
+
+    def run(folder, fresh):
+        outcomes = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                treespec._parse_text.cache_clear()
+            csv_path = tmp_path / folder / f"{i}.csv"
+            csv_path.parent.mkdir(exist_ok=True)
+            code = main([*argv, "--tree", str(spec), "--csv", str(csv_path)])
+            outcomes.append((code, capsys.readouterr().out, csv_path.read_bytes()))
+        return outcomes
+
+    treespec._parse_text.cache_clear()
+    shared = run("shared", fresh=False)
+    assert treespec._parse_text.cache_info()[:2] == (len(calls) - 1, 1)  # hits, misses
+    assert shared == run("fresh", fresh=True)
+    assert [code for code, *_ in shared] == [0] * len(calls)

@@ -51,6 +51,33 @@ def test_apply_B_pow_moves_to_ancestor(binary, ex72):
     assert ts.apply_B_pow(ts.basis(chain_vertex(0, 1)), 3, ex72) == ts.basis(spine_vertex(2))
 
 
+# A spine that breaks at (2; ): its arity 0 leaves out its spine child (1; ).
+_BROKEN_SPINE = ("[tree]\nkind = unrooted\n[arity]\ndefault = 1\n(2; ) = 0\n"
+                 "[spine]\nchild_index = 0\n")
+
+
+@pytest.mark.parametrize("call, start, reaches", [
+    pytest.param(lambda f, tree: ts.apply_B(f, tree), 0, 1, id="apply_B"),
+    pytest.param(lambda f, tree: ts.apply_B(f, tree), 1, 2, id="apply_B-onto-(2;)"),
+    pytest.param(lambda f, tree: ts.apply_B_pow(f, 3, tree), -2, 1, id="apply_B_pow"),
+    pytest.param(lambda f, tree: ts.apply_B_pow(f, 3, tree), 0, 3, id="apply_B_pow-past-(2;)"),
+    pytest.param(lambda f, tree: ts.orbit(f, 1, tree, L2), 0, 1, id="orbit"),
+    pytest.param(lambda f, tree: ts.orbit(f, 4, tree, L2), 0, 4, id="orbit-past-(2;)"),
+])
+def test_moving_onto_a_spine_vertex_without_its_spine_child_raises(call, start, reaches):
+    """B, B^n and orbits check each spine vertex an entry moves onto: one
+    whose arity leaves out its spine child raises `_children`'s error."""
+    tree = ts.parse_tree_spec(_BROKEN_SPINE).source
+    # start < 0 is an off-spine vertex -start levels below the anchor
+    f = ts.basis(VA(start) if start >= 0 else VA(0, (0,) * -start))
+    if reaches < 2:
+        call(f, tree)
+        return
+    with pytest.raises(ts.InvalidAddressError) as exc:
+        call(f, tree)
+    assert str(exc.value) == "spine child index 0 out of range at (2; ) (arity 0)"
+
+
 def test_apply_B_pow_identity_and_composition(binary):
     rng = random.Random(3)
     f = random_sparse_vector(rng, binary)

@@ -178,6 +178,38 @@ def test_dual_exponent_arithmetic_is_unchanged(r):
         assert _bits(lambda: dual.mass(pairs)) == _bits(lambda: old["mass"](pairs)), x
 
 
+_EXACT_WEIGHTS = st.one_of(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                           st.fractions(max_denominator=10 ** 6).filter(bool))
+_FLOAT_WEIGHTS = st.builds(lambda sign, x: sign * x, st.sampled_from([-1, 1]),
+                           st.floats(1e-3, 1e3))
+
+
+def _fraction_term(count, w, r):
+    """count/|w|^r as the sum of safe_div terms has it: a Fraction for an
+    exact weight and an integer r, a float otherwise."""
+    if isinstance(w, (int, Fraction)) and isinstance(r, int):
+        return Fraction(count) / abs(w) ** r
+    return count / float(abs(w)) ** float(r)
+
+
+@given(st.sampled_from([1, 2, 3, 4, Fraction(4, 3), Fraction(3, 2), math.inf]),
+       st.sampled_from([_EXACT_WEIGHTS, _FLOAT_WEIGHTS, st.one_of(_EXACT_WEIGHTS, _FLOAT_WEIGHTS)]),
+       st.data())
+@settings(max_examples=300)
+def test_fiber_mass_is_the_left_to_right_sum_of_its_terms(r, weights, data):
+    """``mass`` of (weight, count) pairs equals the sum of the terms
+    count/|w|^r written out here: exact masses in value and type (a
+    Fraction), float and mixed ones by repr; min |w| for r = inf."""
+    pairs = data.draw(st.lists(st.tuples(weights, st.integers(1, 2 ** 64)),
+                               min_size=1 if r == math.inf else 0, max_size=8))
+    got = ts.DualExponent(r).mass(pairs)
+    if r == math.inf:
+        want = min(abs(w) for w, _ in pairs)
+    else:
+        want = sum(_fraction_term(count, w, r) for w, count in pairs)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
 def test_equal_dual_exponents_share_a_memo_key():
     parsed, built = ts.SpaceSpec.parse("3").dual, ts.DualExponent(Fraction(3, 2))
     assert parsed == built and hash(parsed) == hash(built)
@@ -287,6 +319,17 @@ def _accumulated(start: dict, pairs) -> dict:
     return acc
 
 
+def _climbed(v, n, tree):
+    """p^n(v), one parent at a time; a spine vertex climbed onto must have
+    the vertex below it among its children, or `ts.children` raises."""
+    for _ in range(n):
+        if (v := ts.parent(v, tree)) is None:
+            return None
+        if v.up and not v.path:
+            ts.children(v, tree)
+    return v
+
+
 def _reference_kernels(f, g, tree) -> dict:
     out = {
         "f + g": _accumulated(f._entries, g.items()),
@@ -295,8 +338,8 @@ def _reference_kernels(f, g, tree) -> dict:
                                                  for c in ts.children(v, tree)))),
     }
     for n in range(4):
-        out[f"B^{n} f"] = _accumulated({}, ((t, x) for v, x in f.items()
-                                            if (t := ts.p_n(v, n, tree)) is not None))
+        out[f"B^{n} f"] = outcome(lambda: _accumulated({}, (
+            (t, x) for v, x in f.items() if (t := _climbed(v, n, tree)) is not None)))
     for spec in (L1, L2, L3, C0):
         e = spec.dual.conjugate
         mass = e.combine(e.power(x * tree.weight(v)) for v, x in f.items())
@@ -309,7 +352,7 @@ def _reference_kernels(f, g, tree) -> dict:
 def _kernels(f, g, tree) -> dict:
     out = {"f + g": f + g, "f - g": f - g, "S f": outcome(lambda: ts.apply_S(f, tree))}
     for n in range(4):
-        out[f"B^{n} f"] = ts.apply_B_pow(f, n, tree)
+        out[f"B^{n} f"] = outcome(lambda: ts.apply_B_pow(f, n, tree))
     for spec in (L1, L2, L3, C0):
         out[spec.label] = ts.norm(f, spec, tree)
         if spec.kind == "lp":

@@ -1,6 +1,9 @@
 """Tree-spec document parsing and model resolution."""
 
+import configparser
+import dataclasses
 import re
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
+from treeshift import treespec
 from treeshift.cli import main
 from treeshift.treespec import load_tree_spec, parse_tree_spec, resolve_model
 
@@ -245,3 +249,98 @@ def test_percent_in_a_label_matches_in_keys_and_values(tmp_path, capsys):
     assert load_tree_spec(path).source.anchor == "a%%b"
     assert main(["validate", "--tree", str(path)]) == 0
     assert capsys.readouterr().out == "validated 2 vertices: OK\n"
+
+
+_CUSTOM = "[tree]\nkind = unrooted\n[arity]\ndefault = 2\n[spine]\nchild_index = 1\n" \
+          "[weights]\ncoef = 1\nratio = 1/2\n(0; 1) = 1/8\n"
+_EDGES = "[tree]\nkind = rooted\nanchor = a\n[edges]\na -> b\n[edge_weights]\na = 1\nb = 1/2\n"
+_PRESET = "[tree]\npreset = example_4_1\nm = 1,3,5\nexact = true\n"
+
+
+@pytest.mark.parametrize("text", [_CUSTOM, _PRESET], ids=["custom", "preset"])
+def test_each_load_of_a_text_builds_its_own_tree(tmp_path, text):
+    """The parse of a text is kept, but every load builds a new TreeModel
+    with memos of its own, equal in its rules to the first."""
+    path = tmp_path / "tree.ini"
+    path.write_text(text)
+    first, second = load_tree_spec(path), load_tree_spec(path)
+    assert isinstance(first.source, ts.TreeModel) and isinstance(second.source, ts.TreeModel)
+    assert first.source is not second.source
+    assert first.source.fiber_masses is not second.source.fiber_masses
+    assert first == dataclasses.replace(second, source=first.source)
+    v = VA(0, (1, 0, 0))
+    assert first.source.weight(v) == second.source.weight(v)
+    assert ts.q_value(v, 5, first.source, L2) == ts.q_value(v, 5, second.source, L2)
+
+
+def test_edge_lists_are_shared_read_only():
+    """An edge-list document's EdgeData is the text's own, shared between
+    parses, so neither it nor its weights can be changed."""
+    first, second = parse_tree_spec(_EDGES), parse_tree_spec(_EDGES)
+    assert first.source is second.source
+    with pytest.raises(TypeError):
+        first.source.weights["b"] = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.source = None
+    assert resolve_model(first) is not resolve_model(second)
+
+
+def test_a_rewritten_file_is_parsed_again(tmp_path):
+    path = tmp_path / "tree.ini"
+    path.write_text("[tree]\npreset = example_7_2\n")
+    assert load_tree_spec(path).name == "example_7_2"
+    path.write_text(_EDGES)
+    assert load_tree_spec(path).source.weights["b"] == Fraction(1, 2)
+    path.write_text(_EDGES.replace("1/2", "1/4"))
+    assert load_tree_spec(path).source.weights["b"] == Fraction(1, 4)
+
+
+def test_a_malformed_text_raises_on_every_call():
+    text = "[tree]\nkind = rooted\n[arity]\ndefault = -1\n"
+    treespec._parse_text.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ts.TreeSpecError, match="child counts are nonnegative"):
+            parse_tree_spec(text)
+    assert treespec._parse_text.cache_info().currsize == 0
+
+
+def test_each_text_is_parsed_once_and_the_memo_is_bounded(monkeypatch):
+    """configparser reads a text once however often it is parsed, and the
+    memo keeps at most `_PARSED_TEXTS` texts."""
+    reads = []
+    read_string = configparser.ConfigParser.read_string
+    monkeypatch.setattr(configparser.ConfigParser, "read_string",
+                        lambda self, text, *a: reads.append(text) or read_string(self, text, *a))
+    treespec._parse_text.cache_clear()
+    for _ in range(3):
+        for text in (_CUSTOM, _EDGES, _PRESET):
+            parse_tree_spec(text)
+    assert reads == [_CUSTOM, _EDGES, _PRESET]
+    info = treespec._parse_text.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (6, 3, treespec._PARSED_TEXTS)
+    for depth in range(2 * treespec._PARSED_TEXTS):
+        parse_tree_spec(f"{_PRESET}[truncation]\ndepth = {depth}\n")
+        assert treespec._parse_text.cache_info().currsize <= treespec._PARSED_TEXTS
+    parse_tree_spec(_CUSTOM)  # pushed out by the newer texts: read again
+    assert reads.count(_CUSTOM) == 2
+
+
+def test_module_docstring_example_parses():
+    """The format example in the `treespec` docstring is one document per
+    kind: as given, a preset; without its preset line, an edge list; without
+    its edge sections too, custom rules."""
+    example = textwrap.dedent(treespec.__doc__.split("\n\n    [tree]", 1)[1].split(
+        "\n\nCustom rule-backed", 1)[0])
+    example = "[tree]" + example
+    preset = parse_tree_spec(example)
+    assert preset.name == "example_4_1" and preset.truncation == ts.Truncation(16, 16)
+    no_preset = re.sub(r"\npreset = .*\n", "\n", example)
+    edges = parse_tree_spec(no_preset)
+    assert edges.source.edges == (("a", "b"), ("a", "c"))
+    assert dict(edges.source.weights) == {"a": 1, "b": Fraction(1, 2)}
+    custom = parse_tree_spec(re.sub(r"\[edges\].*?\[arity\]", "[arity]", no_preset, flags=re.S))
+    tree = custom.source
+    assert tree.kind == ts.ROOTED
+    assert [tree.arity(VA(0)), tree.arity(VA(0, (1,))), tree.arity(VA(0, (0,)))] == [2, 3, 1]
+    assert tree.weight(VA(0, (0,))) == Fraction(1, 4)
+    assert tree.weight(VA(0, (1,))) == Fraction(1, 2)
