@@ -13,14 +13,11 @@ every verdict is horizon-stamped rather than asserted as a true limit.
 Public functions check the vertices they are given.  The reports read each
 sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
 n = 0..horizon; the floor of a sample set is the elementwise min of its rows.
-A row is one sweep: the (type, count) levels below v are swept once for
-n = 0..horizon, each n resuming from the level left by n - 1
-(`trees._fiber_types`), and a j row follows the spine, the fiber below
-p^(n+1)(v) being the one below p^n(v) merged with the fibers below its
-siblings.  Each level is massed once per tree, wherever it lies
-(`spaces._level_mass`).  All the rungs of a ladder are thresholded in one
-pass over a floor (`_rung_times`): each entry is placed among the sorted
-thresholds by bisection.
+A q row is one sweep of the levels below v (`trees._step`), a j row one
+merge of memoised levels per n (`trees._spine_fiber`), and each level is
+massed once per tree (`spaces._level_mass`).  All the rungs of a ladder are
+thresholded in one pass over a floor (`_rung_times`): each entry is placed
+among the sorted thresholds by bisection.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from .trees import (
     VertexAddress,
     _p_n,
     _spine_fiber,
+    _step,
     enumerate_distinct_subtrees,
     enumerate_truncation,
     format_address,
@@ -60,8 +58,7 @@ def _checked(vertices: Iterable, tree: TreeModel) -> list[VertexAddress]:
 
 def _j_parts(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> tuple:
     """The parts of j(v, n) on an unrooted tree: ``(mu(p^n v), q-mass of
-    Chi^n(p^n v))``, the fiber being the level of the spine recurrence
-    (`trees._spine_fiber`)."""
+    Chi^n(p^n v))``, the fiber's level read by `trees._spine_fiber`."""
     s, level = _spine_fiber(v, n, tree)
     return tree.weight(s), _level_mass(tree, level, spec.dual)[1]
 
@@ -106,9 +103,14 @@ def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
 
 
 def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
-    """q(v, n) in the scale of thresholds (before the p*-th root) for
-    n = 0..horizon: the ``combined`` terms of `fiber_mass`, one read per n."""
-    return [fiber_mass(tree, v, n, spec)[1] for n in range(horizon + 1)]
+    """q(v, n) in the scale of thresholds, n = 0..horizon: `fiber_mass`'s
+    ``combined`` terms, swept without keeping levels (rows reach thousands)."""
+    level, row = {tree.type_of(v): 1}, []
+    for n in range(horizon + 1):
+        if n:
+            level = _step(level, tree)
+        row.append(_level_mass(tree, level, spec.dual)[1])
+    return row
 
 
 def _floor(rows: Sequence[list]) -> Optional[list]:

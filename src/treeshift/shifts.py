@@ -26,6 +26,7 @@ from .trees import (
     TreeModel,
     Truncation,
     VertexAddress,
+    _check_climbs,
     _children,
     enumerate_distinct_subtrees,
 )
@@ -33,9 +34,7 @@ from .trees import (
 
 def apply_B(f: SparseVector, tree: TreeModel) -> SparseVector:
     """(Bf)(v) = sum of f over the children of v; empty sums are zero."""
-    _check_support(f, tree)
-    _check_spine_moves(f, 1, tree)
-    return _apply_B_pow(f, 1, tree)
+    return apply_B_pow(f, 1, tree)
 
 
 def apply_S(f: SparseVector, tree: TreeModel) -> SparseVector:
@@ -50,28 +49,8 @@ def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_support(f, tree)
-    _check_spine_moves(f, n, tree)
+    _check_climbs(f, n, tree)
     return _apply_B_pow(f, n, tree)
-
-
-def _check_spine_moves(f: SparseVector, n: int, tree: TreeModel) -> None:
-    """Raise InvalidAddressError, as `trees._children` does, when B^n moves an
-    entry of f onto a spine vertex (k; ) whose arity does not cover its spine
-    child index: (k - 1; ) is then not its child.  `_apply_B_pow` moves
-    entries by address arithmetic and would not notice.  Each spine vertex
-    reached is checked once, by one rule lookup."""
-    if tree.rooted:
-        return
-    tops: dict[int, int] = {}  # the spine levels k in low < k <= top are reached
-    for up, path in f:
-        top = up + n - len(path)
-        if top > tops.get(up, up):
-            tops[up] = top
-    checked = 0
-    for low in sorted(tops):
-        for k in range(max(low, checked) + 1, tops[low] + 1):
-            _children(VertexAddress(k, ()), tree)
-        checked = max(checked, tops[low])
 
 
 def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
@@ -171,7 +150,7 @@ def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list
         if not cur:
             break
         if n < n_max:
-            _check_spine_moves(cur, 1, tree)
+            _check_climbs(cur, 1, tree)
             cur = _apply_B_pow(cur, 1, tree)
     return out
 

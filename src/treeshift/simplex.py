@@ -53,8 +53,8 @@ from .trees import (
     Truncation,
     VertexAddress,
     _fiber_types,
+    _p_n,
     _typed_fiber,
-    p_n,
 )
 
 # The most entries one term of `build_recurrent_vector` may have (a fiber
@@ -189,7 +189,8 @@ def build_In_unrooted(v, n: int, tree: TreeModel, spec: SpaceSpec) -> InUnrooted
     with bound min(|mu(p^n v)|, M)."""
     if tree.rooted:
         raise RootedTreeError("I_n with spine cancellation needs an unrooted tree")
-    s = p_n(v, n, tree)
+    tree.check(v)  # a spine without its spine child fails in `_right_inverse`
+    s = _p_n(v, n, tree)
     spine = abs(tree.weight(s))
     h, _, mass = _right_inverse(s, n, tree, spec, 0)
     dual = spec.dual
@@ -327,7 +328,7 @@ def build_recurrent_vector(
             inf_n = math.inf if mass is None else to_float(dual.infimum(mass))
             skipped.append((n, inf_n, allowance))
             continue
-        size = sum(_fiber_types(ANCHOR, n, tree).values())  # from the (type, count) level
+        size = sum(_fiber_types(tree.type_of(ANCHOR), n, tree).values())  # from the level
         if size > MAX_TERM_ENTRIES:
             raise WorkBudgetError(
                 f"the term for n = {n} would have {size:,} entries, "

@@ -450,8 +450,8 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     """``(mass, combined)`` of the fiber Chi^n(v): ``spec.dual.mass`` of its
     weights (None for an empty fiber) and the ``combined`` terms that mass
     stands for (0 for an empty fiber).  ``v`` must be a checked VertexAddress.
-    The fiber is swept as a (type, count) level (`trees._fiber_types`) and
-    massed by `_level_mass`.
+    The fiber is the (type, count) level n generations below the type of
+    ``v`` (`trees._fiber_types`), massed by `_level_mass`.
 
     Every fiber quantity reads this one mass: q(v, n) is the p*-th root of
     ``combined`` and the fiber's simplex infimum is the mass's ``infimum``.
@@ -459,7 +459,7 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     live as long as the tree; keeping ``combined`` spares the criteria a
     Fraction division per threshold comparison for l^1.
     """
-    return _level_mass(tree, _fiber_types(v, n, tree), spec.dual)
+    return _level_mass(tree, _fiber_types(tree.type_of(v), n, tree), spec.dual)
 
 
 def _level_mass(tree: TreeModel, level: dict, dual: DualExponent):

@@ -11,9 +11,9 @@ not immediately re-enter the spine vertex it came from; `canonicalize` reduces
 such detours.  All other operations expect canonical addresses.
 
 A tree states its rules on vertex types (`VertexTypes`); a tree built without
-them has every vertex as its own type.  Fibers are swept as (type, count)
-levels without building an address (`_fiber_types`), and the fibers below the
-n-fold parents p^n(v) follow the spine recurrence (`_spine_fiber`).
+them has every vertex as its own type.  Fibers are (type, count) levels,
+memoised by (type, depth) and merged from the levels below the child types
+(`_fiber_types`), so the fiber below p^n(v) is a merge per n (`_spine_fiber`).
 
 Public functions check the addresses they are given.  Addresses the library
 generates itself (children, parents, fibers) are built with `tuple.__new__`
@@ -119,9 +119,7 @@ class TreeModel:
     instances are safe to share across threads.  ``fiber_masses`` memoises
     fiber masses (`spaces.fiber_mass`) under ``(dual, tuple(level.items()))``,
     the (type, count) pairs of a level in sweep order, so that equal levels
-    are massed once.  ``fiber_levels`` and ``spine_levels`` memoise the last
-    level swept below each vertex and the last step of the spine recurrence
-    from each vertex.
+    are massed once; ``levels`` holds read-only fiber levels (`_fiber_types`).
     """
 
     fiber_profile = None  # read by perfbench/tracer.py, which wraps it when set
@@ -150,8 +148,7 @@ class TreeModel:
         self.edge_data = edge_data
         self.types = types
         self.fiber_masses: dict = {}
-        self.fiber_levels: dict = {}
-        self.spine_levels: dict = {}
+        self.levels: dict = {}
         self.spine_child_index = (
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
         )
@@ -262,20 +259,17 @@ def children(v, tree: TreeModel) -> list[VertexAddress]:
 
 
 def parent(v, tree: TreeModel) -> Optional[VertexAddress]:
-    """The unique parent of ``v``; None exactly for the root of a rooted tree."""
-    tree.check(v)
-    if v.path:
-        return VertexAddress(v.up, v.path[:-1])
-    if tree.rooted:
-        return None
-    return VertexAddress(v.up + 1)
+    """The unique parent of ``v`` (`p_n`); None for the root of a rooted tree."""
+    return p_n(v, 1, tree)
 
 
 def p_n(v, n: int, tree: TreeModel) -> Optional[VertexAddress]:
-    """The n-fold parent; None when a rooted tree runs out above the root."""
+    """The n-fold parent; None when a rooted tree runs out above the root.
+    Raises, as `children` does, where the climb leaves out a spine child."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tree.check(v)
+    _check_climbs([v], n, tree)
     return _p_n(v, n, tree)
 
 
@@ -287,6 +281,24 @@ def _p_n(v: VertexAddress, n: int, tree: TreeModel) -> Optional[VertexAddress]:
     if tree.rooted:
         return None
     return tuple.__new__(VertexAddress, (up + (n - depth), ()))
+
+
+def _check_climbs(vertices, n: int, tree: TreeModel) -> None:
+    """Raise InvalidAddressError, as `_children` does, at the lowest spine
+    vertex that n parent steps from ``vertices`` climb onto without its spine
+    child; `_p_n` and `_apply_B_pow` do not check.  One check per vertex."""
+    if tree.rooted:
+        return
+    tops: dict[int, int] = {}  # the spine levels k in low < k <= top are reached
+    for up, path in vertices:
+        top = up + n - len(path)
+        if top > tops.get(up, up):
+            tops[up] = top
+    checked = 0
+    for low in sorted(tops):
+        for k in range(max(low, checked) + 1, tops[low] + 1):
+            _children(VertexAddress(k, ()), tree)
+        checked = max(checked, tops[low])
 
 
 def chi_n(v, n: int, tree: TreeModel) -> Iterator[VertexAddress]:
@@ -343,51 +355,57 @@ def _remember(memo: dict, key, value) -> None:
     memo[key] = value
 
 
-def _fiber_types(v: VertexAddress, n: int, tree: TreeModel) -> dict:
-    """``{type: count}`` of Chi^n(v), in the order of the types' first
-    vertices in the depth-first fiber; ``v`` must be checked.  The sweep goes
-    level by level over types, and resumes from the level last reached below
-    ``v`` (memoised in ``tree.fiber_levels``) when that is not below ``n``,
-    so a row n = 0..H costs H levels.  The result is the memo's own dict:
-    read it only."""
-    memo = tree.fiber_levels
-    last = memo.get(v)
-    k, level = last if last is not None and last[0] <= n else (0, {tree.type_of(v): 1})
-    child_types = tree.child_types
-    while k < n:
-        below = {}
-        get = below.get
-        for u, m in level.items():
-            for c in child_types(u):
-                below[c] = get(c, 0) + m
-        k, level = k + 1, below
-    _remember(memo, v, (n, level))
+def _step(level: dict, tree: TreeModel) -> dict:
+    """The ``{type: count}`` level one generation below ``level``, its types
+    in the order of their first vertices in the depth-first fiber."""
+    below = {}
+    get = below.get
+    for u, m in level.items():
+        for c in tree.child_types(u):
+            below[c] = get(c, 0) + m
+    return below
+
+
+def _fiber_types(t, n: int, tree: TreeModel) -> dict:
+    """``{type: count}`` of the fiber n generations below a vertex of type
+    ``t``, in `_step` order, memoised in ``tree.levels`` under ``(t, n)``: the
+    merge of its child types' levels at n - 1 if memoised (the fiber is theirs
+    in turn), else a sweep from the deepest memoised level of ``t``."""
+    memo = tree.levels
+    if (level := memo.get((t, n))) is not None:
+        return level
+    parts = [memo.get((c, n - 1)) for c in tree.child_types(t)] if n > 0 else [None]
+    if len(parts) == 1 and parts[0] is not None:  # one child type: its level, shared
+        level = parts[0]
+    elif None not in parts:
+        level = {}
+        for part in parts:
+            for u, m in part.items():
+                level[u] = level.get(u, 0) + m
+    else:
+        for k in range(n - 1, 0, -1):
+            if (level := memo.get((t, k))) is not None:
+                break
+        else:
+            k, level = 0, {t: 1}
+        for _ in range(k, n):
+            level = _step(level, tree)
+    _remember(memo, (t, n), level)
     return level
 
 
 def _spine_fiber(v: VertexAddress, n: int, tree: TreeModel) -> tuple[VertexAddress, dict]:
-    """``(p^n v, {type: count} of Chi^n(p^n v))`` on an unrooted tree; ``v``
-    must be checked.  By the spine recurrence, Chi^(k+1)(p^(k+1) v) is
-    Chi^k(p^k v) with Chi^k(c) for each sibling c of p^k v; merged in child
-    order, the types come in the order of a fresh `_fiber_types` sweep.  Each
-    step sweeps only the siblings, and the recurrence resumes from the last
-    step reached for ``v`` (memoised in ``tree.spine_levels``) when that is
-    not past ``n``.  The level is the memo's own dict: read it only."""
-    memo = tree.spine_levels
-    last = memo.get(v)
-    k, s, level = last if last is not None and last[0] <= n else (0, v, {tree.type_of(v): 1})
-    while k < n:
-        p = _p_n(s, 1, tree)
-        merged = {}
-        get = merged.get
-        for c in _children(p, tree):
-            below = level if c == s else _fiber_types(c, k, tree)
-            for t, m in below.items():
-                merged[t] = get(t, 0) + m
-        k, s, level = k + 1, p, merged
-    _remember(memo, v, (n, s, level))
-    _remember(tree.fiber_levels, s, (n, level))  # as a sweep below p^n v would
-    return s, level
+    """``(p^n v, {type: count} of Chi^n(p^n v))``; ``v`` must be checked.  The
+    children's levels at n - 1 are read and merged; in a j row the read at
+    n - 1 left the one below p^(n-1) v, and a cold read reads the row first."""
+    s = _p_n(v, n, tree)
+    if n > 0:
+        if (tree.type_of(_p_n(v, n - 1, tree)), n - 1) not in tree.levels:
+            for k in range(n):  # fails where the row fails, at its lowest step
+                _spine_fiber(v, k, tree)
+        for c in tree.child_types(tree.type_of(s)):
+            _fiber_types(c, n - 1, tree)
+    return s, _fiber_types(tree.type_of(s), n, tree)
 
 
 def enumerate_truncation(tree: TreeModel, trunc: Truncation) -> Iterator[VertexAddress]:

@@ -116,6 +116,41 @@ def test_p_n_examples(binary, ex72):
     assert ts.p_n(VA(0, (1,)), 2, binary) is None
 
 
+_BARE_SPINE = "[tree]\nkind = unrooted\n[arity]\ndefault = 0\n[spine]\nchild_index = 0\n"
+
+
+def test_parent_is_not_a_spine_vertex_without_its_spine_child():
+    """(1; ) of arity 0 has no child (0; ): `parent` raises as `children`
+    does at (1; ) instead of returning it."""
+    tree = parse_tree_spec(_BARE_SPINE).source
+    missing = r"^spine child index 0 out of range at \(1; \) \(arity 0\)$"
+    with pytest.raises(ts.InvalidAddressError, match=missing):
+        ts.children(VA(1), tree)
+    with pytest.raises(ts.InvalidAddressError, match=missing):
+        ts.parent(VA(0), tree)
+
+
+def test_p_n_names_the_lowest_spine_vertex_without_its_spine_child():
+    """The climb raises at the first spine vertex it enters that lacks its
+    spine child, as a j row, which reads the fibers below p^n(v) for
+    n = 0, 1, ..., does; a cold `j_value` names the same vertex."""
+    tree = parse_tree_spec(_BARE_SPINE).source
+    assert ts.p_n(VA(0), 0, tree) == VA(0)
+    for n in (1, 3):
+        with pytest.raises(ts.InvalidAddressError, match=r"at \(1; \) \(arity 0\)$"):
+            ts.p_n(VA(0), n, tree)
+    with pytest.raises(ts.InvalidAddressError, match=r"at \(1; \) \(arity 0\)$"):
+        ts.j_value(VA(0), 5, tree, ts.SpaceSpec.ell(2))
+    # (1; ) holds its spine child, (2; ) and (3; ) do not
+    tree = parse_tree_spec(_BARE_SPINE.replace("default = 0\n", "default = 0\n(1; ) = 1\n")).source
+    assert ts.p_n(VA(0), 1, tree) == VA(1)
+    assert ts.p_n(VA(1), 0, tree) == VA(1)
+    for f in (lambda: ts.p_n(VA(0), 3, tree), lambda: ts.parent(VA(1), tree),
+              lambda: ts.j_value(VA(0), 3, tree, ts.SpaceSpec.ell(2))):
+        with pytest.raises(ts.InvalidAddressError, match=r"at \(2; \) \(arity 0\)$"):
+            f()
+
+
 def test_truncation_bounds():
     with pytest.raises(ValueError):
         ts.Truncation(depth=-1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
-from treeshift import criteria
+from treeshift import criteria, trees
 from treeshift.shifts import _apply_B_pow
 from treeshift.spaces import _norm, to_float
-from treeshift.trees import _fiber_types, _spine_fiber, _typed_fiber
+from treeshift.trees import _spine_fiber, _step, _typed_fiber
 from treeshift.treespec import parse_tree_spec
 
 from conftest import (
@@ -99,20 +100,28 @@ def _j_reference(v, n: int, tree: ts.TreeModel, spec) -> object:
     return dual.combine((1 / dual.power(tree.weight(s)), fiber_mass_by_walk(tree, s, n, spec)[1]))
 
 
+def _swept(t, n: int, tree: ts.TreeModel) -> dict:
+    """The level n generations below a vertex of type t, from a fresh sweep."""
+    level = {t: 1}
+    for _ in range(n):
+        level = _step(level, tree)
+    return level
+
+
 def _assert_spine_recurrence(tree: ts.TreeModel, verts, horizon: int = 10) -> None:
     """The j rows built by the spine recurrence equal the per-n j masses of
     the depth-first walk, and each recurrence level lists the types of a
     fresh sweep below p^n(v), in the same order with the same counts, also
-    when the recurrence restarts below the step it reached."""
+    when the recurrence is read cold, with no level memoised."""
     for v in verts:
         levels = outcome(lambda: [
             list(_spine_fiber(v, n, tree)[1].items()) for n in range(horizon + 1)
         ])
         if not isinstance(levels, type):
             for n, items in enumerate(levels):
-                tree.fiber_levels.clear()  # a fresh sweep, not the recurrence's level
-                fresh = _fiber_types(ts.p_n(v, n, tree), n, tree)
+                fresh = _swept(tree.type_of(ts.p_n(v, n, tree)), n, tree)
                 assert items == list(fresh.items()), (v, n)
+            tree.levels.clear()
             assert list(_spine_fiber(v, 3, tree)[1].items()) == levels[3]
         for spec in SPACES:
             want = outcome(lambda: [_j_reference(v, n, tree, spec) for n in range(horizon + 1)])
@@ -155,6 +164,79 @@ def test_spine_recurrence_on_unrooted_presets(make):
     _assert_spine_recurrence(tree, verts)
 
 
+def _read(kind: str, v, n: int, spec):
+    """The read ``kind`` of the fibers at (v, n), as a function of the tree."""
+    return {
+        "fiber_mass": lambda tree: ts.fiber_mass(tree, v, n, spec),
+        "q_row": lambda tree: criteria._q_row(v, tree, spec, n),
+        "j_parts": lambda tree: [criteria._j_term(*criteria._j_parts(v, n, tree, spec), spec)],
+        "j_row": lambda tree: criteria._j_row(v, tree, spec, n),
+    }[kind]
+
+
+def _message(f):
+    """The message of the InvalidAddressError that f() raises, or None."""
+    try:
+        f()
+    except ts.InvalidAddressError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_memo_stays_coherent(data):
+    """Interleaved fiber masses, q rows and (unrooted) j parts and j rows,
+    with the memos so small that they are cleared in the middle of a merge,
+    give the masses of the depth-first walk, or the error of the same read
+    (a j read: of its row) on a fresh tree, and leave in ``tree.levels`` only levels that equal a fresh sweep, in
+    items and order; also on a copy where every vertex is its own type."""
+    doc, own = data.draw(spec_documents()), data.draw(st.booleans())
+
+    def build() -> ts.TreeModel:
+        tree = parse_tree_spec(doc).source
+        return tree.with_weight(tree.weight) if own else tree
+
+    tree = build()
+    verts = _vertices(data.draw, tree)
+    kinds = ["fiber_mass", "q_row"] + ([] if tree.rooted else ["j_parts", "j_row"])
+    with mock.patch.object(trees, "MEMO_SIZE", data.draw(st.integers(1, 12))):
+        for _ in range(data.draw(st.integers(1, 10))):
+            kind, v = data.draw(st.sampled_from(kinds)), data.draw(st.sampled_from(verts))
+            n, spec = data.draw(st.integers(0, 7)), data.draw(st.sampled_from(SPACES))
+            f = _read(kind, v, n, spec)
+            error = _message(lambda: f(tree))
+            if error is not None:  # as on a fresh tree, a j read failing where its row does
+                fresh = _read("j_row" if kind == "j_parts" else kind, v, n, spec)
+                assert _message(lambda: fresh(build())) == error, (kind, v, n)
+            elif kind == "fiber_mass":
+                assert f(tree) == fiber_mass_by_walk(tree, v, n, spec), (v, n)
+            elif kind == "q_row":
+                assert f(tree) == [fiber_mass_by_walk(tree, v, k, spec)[1]
+                                   for k in range(n + 1)], (v, n)
+            else:
+                want = [_j_reference(v, k, tree, spec) for k in range(n + 1)]
+                assert _masses_match(f(tree), want if kind == "j_row" else want[-1:]), (kind, v, n)
+            for (t, k), level in list(tree.levels.items()):
+                assert list(level.items()) == list(_swept(t, k, tree).items()), (t, k)
+
+
+def test_j_rows_read_child_types_in_proportion_to_the_horizon():
+    """A j row reads each level below p^n(v) as a merge of the levels one
+    generation up, so doubling the horizon of a report at most doubles its
+    reads of the child-type rule (2.1 leaves room for its fixed part)."""
+    doc = "[tree]\nkind = unrooted\n[arity]\ndefault = 2\n(0; ) = 3\n" \
+          "[spine]\nchild_index = 1\n[weights]\nratio = 2\n"
+    counts = []
+    for horizon in (50, 100):
+        tree = parse_tree_spec(doc).source
+        read, calls = tree.child_types, []
+        tree.child_types = lambda t: calls.append(t) or read(t)
+        ts.dynamics_report(tree, ts.SpaceSpec.ell(2), ts.infinite_family(), horizon=horizon)
+        counts.append(len(calls))
+    assert counts[1] <= 2.1 * counts[0], counts
+
+
 def test_chi_n_reads_the_arity_rule_once_per_type():
     calls = []
     tree = ts.TreeModel(ts.ROOTED, arity=lambda t: calls.append(t) or 2, weight=lambda t: 1,
@@ -195,6 +277,18 @@ def test_spine_vertices_keep_the_spine_rule_error():
     assert ts.q_value(VA(2), 1, tree, SPACES[1]) == pytest.approx(3 ** 0.5)
     with pytest.raises(ts.InvalidAddressError, match="spine child index 2"):
         ts.q_value(VA(2), 2, tree, SPACES[1])
+
+
+def test_a_cold_j_read_fails_where_its_row_fails():
+    """Every spine vertex has arity 1 but spine child index 1.  The j row of
+    (1; 0) fails at n = 1, on its first step onto the spine, (1; ); a cold
+    `j_value` further on names that vertex too, not the higher (n; ) whose
+    children it reads first."""
+    doc = "[tree]\nkind = unrooted\n[arity]\ndefault = 1\n[spine]\nchild_index = 1\n"
+    for n in (1, 2, 5):
+        tree = parse_tree_spec(doc).source
+        with pytest.raises(ts.InvalidAddressError, match=r"at \(1; \) \(arity 1\)$"):
+            ts.j_value(VA(1, (0,)), n, tree, SPACES[1])
 
 
 def _sequence_or_error(f):
