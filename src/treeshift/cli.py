@@ -39,11 +39,11 @@ import csv
 import functools
 import sys
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from . import criteria as crit
+from ._record import field, record
 from .errors import TreeShiftError, TreeSpecError
 from .families import (
     FamilySpec,
@@ -335,7 +335,7 @@ def _example_7_2_not_hc(space, horizon, exact):
     return ok, text, rows
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Reproduction:
     """A scripted reproduction: its CSV columns, its default --horizon (None
     for one at fixed times, which takes no --horizon), and its function of
@@ -412,7 +412,7 @@ _CONVERT = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Command:
     """A subcommand: its help line, the flags it takes besides --out, --csv
     and --seed, its CSV columns, its runner and any argparse defaults that

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import field, record
 from .errors import EmptyIndexSetError, FloatRangeError, RootedTreeError
 from .families import FamilySpec, Verdict, family_verdict, generated_filter, infinite_family
 from .spaces import SpaceSpec, _level_mass, fiber_mass, to_float
@@ -231,14 +231,14 @@ def _diverging_vertex(q_rows: Iterable[tuple], spec: SpaceSpec):
     return None, [], []
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RungResult:
     N: object
     times: tuple[int, ...]
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SampleSetResult:
     vertices: tuple[VertexAddress, ...]
     rungs: tuple[RungResult, ...]
@@ -250,7 +250,7 @@ class SampleSetResult:
         return all(r.verdict.acceptable for r in self.rungs)
 
 
-@dataclass
+@record
 class DynamicsReport:
     tree_name: str
     space: str
@@ -365,7 +365,7 @@ def dynamics_report(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GammaSpec:
     """Scalar family Gamma indexed by k: lambda_k = lambdas(k), all nonzero."""
 
@@ -417,7 +417,7 @@ def gamma_powers(ratio) -> GammaSpec:
     )
 
 
-@dataclass
+@record
 class SupercyclicityReport:
     tree_name: str
     space: str
@@ -570,7 +570,7 @@ def supercyclicity_report(
 DECAY_EPS = 2.0 ** -12
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecayObservation:
     i: int
     last: float
@@ -578,7 +578,7 @@ class DecayObservation:
     decayed: bool
 
 
-@dataclass
+@record
 class LimitPointReport:
     tree_name: str
     space: str

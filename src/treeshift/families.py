@@ -9,8 +9,9 @@ computed at; nothing here claims a true limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+from ._record import field, record
 
 INFINITE = "infinite"
 COFINITE = "cofinite"
@@ -20,7 +21,7 @@ TILDE = "tilde"
 GENERATED_FILTER = "generated_filter"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilySpec:
     kind: str
     gap: Optional[int] = None
@@ -72,7 +73,7 @@ def generated_filter(bases: Sequence[tuple[str, frozenset]]) -> FamilySpec:
     return FamilySpec(GENERATED_FILTER, bases=tuple((str(k), frozenset(b)) for k, b in bases))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     status: str  # "holds" | "fails" | "inconclusive"
     horizon: int

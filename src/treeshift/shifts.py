@@ -18,9 +18,9 @@ wrapped without the `SparseVector` constructor's zero filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import field, record
 from .spaces import SpaceSpec, SparseVector, _check_support, _norm, _vector, to_float
 from .trees import (
     TreeModel,
@@ -58,7 +58,8 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
 
     One pass in the order of f: the first value that reaches a target is
     stored as it is, each later one is added to it, and a sum that cancels
-    to zero is dropped on the spot."""
+    to zero is dropped on the spot.  Targets are looked up as plain
+    ``(up, path)`` tuples; a `VertexAddress` is built only when one is stored."""
     if n == 0:
         return _vector(dict(f.items()))
     rooted = tree.rooted
@@ -68,14 +69,14 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
         up, path = v
         depth = len(path)
         if n <= depth:
-            target = tuple.__new__(VertexAddress, (up, path[: depth - n]))
+            target = (up, path[: depth - n])
         elif rooted:
             continue
         else:
-            target = tuple.__new__(VertexAddress, (up + (n - depth), ()))
+            target = (up + (n - depth), ())
         y = get(target)
         if y is None:
-            acc[target] = x
+            acc[tuple.__new__(VertexAddress, target)] = x
         elif (y := y + x) == 0:
             del acc[target]
         else:
@@ -83,7 +84,7 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     return _vector(acc)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OperatorNormResult:
     """Supremum of the per-vertex boundedness quantity over a truncation."""
 
@@ -132,7 +133,7 @@ def operator_norm(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrbitPoint:
     n: int
     vector: SparseVector
@@ -155,7 +156,7 @@ def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BallSpec:
     """Open norm ball used as a return-set endpoint."""
 
@@ -229,7 +230,7 @@ def _witness_return(n, U, V, tree, slack) -> Optional[SparseVector]:
     return f
 
 
-@dataclass
+@record
 class ReturnSetReport:
     """Horizon-bounded constructive picture of the return set N(U, V):
     times with a stored, norm-checked witness versus times the witness family

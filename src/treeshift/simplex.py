@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from . import shifts
+from ._record import record
 from .errors import (
     CriterionTooWeakError,
     EmptyFiberError,
@@ -62,7 +62,7 @@ from .trees import (
 MAX_TERM_ENTRIES = 1 << 22
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimplexInstance:
     """Finite family of nonzero weights plus the space whose norm is minimised
     over the probability simplex."""
@@ -166,7 +166,7 @@ def _along(values: dict, kinds):
     return filter(partial(operator.is_not, None), map(values.get, kinds))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InUnrootedResult:
     """I_n e_v with the case split of the unrooted transitivity construction.
 
@@ -205,7 +205,7 @@ def build_In_unrooted(v, n: int, tree: TreeModel, spec: SpaceSpec) -> InUnrooted
     return InUnrootedResult(basis(v) - h, "cancelled", to_float(bound))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TailBudget:
     """Summable error allowance b_j per synthesis step; default b_j = 2^-j."""
 
@@ -215,7 +215,7 @@ class TailBudget:
         return sum(self.schedule(l) for l in range(after + 1, upto + 1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecurrentTerm:
     j: int
     n: int
@@ -225,7 +225,7 @@ class RecurrentTerm:
     allowance: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecurrentCertificate:
     """Re-verified residual inequality for one retained synthesis step."""
 
@@ -237,7 +237,7 @@ class RecurrentCertificate:
     verified: bool
 
 
-@dataclass
+@record
 class RecurrentSynthesis:
     vector: SparseVector
     certificates: list[RecurrentCertificate]

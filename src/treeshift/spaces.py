@@ -30,11 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import IO, Iterator, Optional
 
+from ._record import record
 from .errors import InvalidAddressError
 from .trees import (
     TreeModel,
@@ -65,7 +65,7 @@ def safe_div(num, denom):
         return math.inf
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DualExponent:
     """An exponent r in [1, inf] and the arithmetic built on it.
     ``SpaceSpec.dual`` is the conjugate exponent p* of a space, and its
@@ -80,15 +80,10 @@ class DualExponent:
     """
 
     r: object  # int, Fraction (non-integer) or math.inf
-    plain: bool = field(init=False, repr=False, compare=False)
-    # Resolved once: the exponent of ``power`` (an int keeps rationals exact,
-    # a float goes through to_float), 1/r for ``root``, and the hash.
-    _exponent: object = field(init=False, repr=False, compare=False)
-    _exact: bool = field(init=False, repr=False, compare=False)
-    _inverse: float = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Resolved once, outside the fields: ``plain``, the exponent of ``power``
+        # (an int keeps rationals exact), 1/r for ``root``, and the hash.
         r = self.r
         if isinstance(r, Fraction) and r.denominator == 1:
             r = r.numerator
@@ -237,7 +232,7 @@ def _rational_sum(values, weights, e: int):
     return Fraction(num, den) if Fraction in types else num
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpaceSpec:
     """Which Banach space the vectors live in: l^p (1 <= p < inf) or c_0."""
 

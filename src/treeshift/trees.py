@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional
 
+from ._record import record
 from .errors import InvalidAddressError, TreeSpecError
 
 ROOTED = "rooted"
@@ -74,7 +74,7 @@ def parse_address(text: str) -> VertexAddress:
     return VertexAddress(int(m.group(1)), path)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Truncation:
     """Finite window of an infinite tree: at most ``depth`` generations below
     the anchor-level vertices and ``ancestry`` parent steps above the anchor."""
@@ -87,7 +87,7 @@ class Truncation:
             raise ValueError("truncation bounds must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EdgeData:
     """Explicit finite tree given as labelled edges, prior to rule backing."""
 
@@ -149,6 +149,7 @@ class TreeModel:
         self.types = types
         self.fiber_masses: dict = {}
         self.levels: dict = {}
+        self.spine_checked = 0  # the spine height `_check_climbs` has checked
         self.spine_child_index = (
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
         )
@@ -286,7 +287,8 @@ def _p_n(v: VertexAddress, n: int, tree: TreeModel) -> Optional[VertexAddress]:
 def _check_climbs(vertices, n: int, tree: TreeModel) -> None:
     """Raise InvalidAddressError, as `_children` does, at the lowest spine
     vertex that n parent steps from ``vertices`` climb onto without its spine
-    child; `_p_n` and `_apply_B_pow` do not check.  One check per vertex."""
+    child; `_p_n` and `_apply_B_pow` do not check.  Each spine vertex is
+    checked once per tree; one that fails raises again on every call."""
     if tree.rooted:
         return
     tops: dict[int, int] = {}  # the spine levels k in low < k <= top are reached
@@ -294,10 +296,12 @@ def _check_climbs(vertices, n: int, tree: TreeModel) -> None:
         top = up + n - len(path)
         if top > tops.get(up, up):
             tops[up] = top
-    checked = 0
+    checked = tree.spine_checked  # the spine levels 1..checked hold their spine child
     for low in sorted(tops):
         for k in range(max(low, checked) + 1, tops[low] + 1):
             _children(VertexAddress(k, ()), tree)
+        if low <= checked == tree.spine_checked:  # no level below is left unchecked
+            tree.spine_checked = max(checked, tops[low])
         checked = max(checked, tops[low])
 
 
@@ -464,14 +468,14 @@ def _walk_children(w: VertexAddress, tree: TreeModel) -> list[VertexAddress]:
     return _children(w, tree)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     code: str
     where: str
     detail: str
 
 
-@dataclass
+@record
 class ValidationReport:
     ok: bool
     violations: list[Violation]

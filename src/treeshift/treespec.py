@@ -76,10 +76,10 @@ from __future__ import annotations
 
 import configparser
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Union
 
+from ._record import record
 from .errors import TreeSpecError
 from .presets import EXACT_PRESETS, PRESETS, make_preset
 from .spaces import parse_scalar
@@ -96,7 +96,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TreeSpecDocument:
     source: Union[TreeModel, EdgeData]
     truncation: Truncation

@@ -78,6 +78,22 @@ def test_moving_onto_a_spine_vertex_without_its_spine_child_raises(call, start, 
     assert str(exc.value) == "spine child index 0 out of range at (2; ) (arity 0)"
 
 
+def test_apply_B_pow_sums_under_vertex_address_keys(binary, ex72):
+    """Entries that meet at a target are summed under one key, and every key
+    is a `VertexAddress`: B^n equals the sum over the n-fold parents."""
+    for tree, anchor in ((binary, VA(0)), (ex72, VA(2))):
+        vertices = [v for d in range(6) for v in ts.chi_n(anchor, d, tree)]
+        f = ts.SparseVector({v: Fraction(i % 7 - 3, 1 + i % 4) for i, v in enumerate(vertices)})
+        for n in range(7):
+            want = {}
+            for v, x in f.items():
+                if (t := ts.p_n(v, n, tree)) is not None:
+                    want[t] = want.get(t, 0) + x
+            got = ts.apply_B_pow(f, n, tree)
+            assert dict(got.items()) == {t: x for t, x in want.items() if x}
+            assert all(type(t) is VA for t, _ in got.items())
+
+
 def test_apply_B_pow_identity_and_composition(binary):
     rng = random.Random(3)
     f = random_sparse_vector(rng, binary)

@@ -151,6 +151,27 @@ def test_p_n_names_the_lowest_spine_vertex_without_its_spine_child():
             f()
 
 
+def test_spine_climbs_are_checked_once_per_tree(monkeypatch):
+    """Climbing n = 0..600 from the anchor checks each spine vertex once
+    per tree, in `p_n` and in `apply_B_pow`, not once per call; a spine
+    vertex that fails is named again by every call that climbs onto it."""
+    calls = []
+    children = ts.trees._children
+    monkeypatch.setattr(ts.trees, "_children", lambda v, tree: calls.append(v) or children(v, tree))
+    tree = ts.example_7_2()
+    assert [ts.p_n(VA(0), n, tree) for n in range(601)] == [VA(n) for n in range(601)]
+    assert len(calls) <= 601
+    calls.clear()
+    tree, e = ts.example_7_2(), ts.basis(VA(0))
+    assert [ts.apply_B_pow(e, n, tree) for n in range(601)] == [ts.basis(VA(n)) for n in range(601)]
+    assert len(calls) <= 601
+    tree = parse_tree_spec(_BARE_SPINE).source
+    for _ in range(2):
+        for call in (lambda: ts.p_n(VA(0), 2, tree), lambda: ts.apply_B_pow(e, 2, tree)):
+            with pytest.raises(ts.InvalidAddressError, match=r"at \(1; \) \(arity 0\)$"):
+                call()
+
+
 def test_truncation_bounds():
     with pytest.raises(ValueError):
         ts.Truncation(depth=-1)

@@ -13,7 +13,7 @@ import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift import treespec
 from treeshift.cli import main
-from treeshift.treespec import load_tree_spec, parse_tree_spec, resolve_model
+from treeshift.treespec import TreeSpecDocument, load_tree_spec, parse_tree_spec, resolve_model
 
 L2 = ts.SpaceSpec.ell(2)
 
@@ -267,7 +267,7 @@ def test_each_load_of_a_text_builds_its_own_tree(tmp_path, text):
     assert isinstance(first.source, ts.TreeModel) and isinstance(second.source, ts.TreeModel)
     assert first.source is not second.source
     assert first.source.fiber_masses is not second.source.fiber_masses
-    assert first == dataclasses.replace(second, source=first.source)
+    assert first == TreeSpecDocument(first.source, second.truncation, second.name)
     v = VA(0, (1, 0, 0))
     assert first.source.weight(v) == second.source.weight(v)
     assert ts.q_value(v, 5, first.source, L2) == ts.q_value(v, 5, second.source, L2)
