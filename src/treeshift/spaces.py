@@ -6,14 +6,13 @@ floats everything degrades gracefully to double precision.  Only the final
 p-th root forces a float.
 
 `DualExponent` resolves its exponent once, when it is built, so that the
-per-entry ``power`` of a norm or a fiber is one ``**``.  The mass of a norm
-(`DualExponent.weighted_mass`) reads each weight by vertex type.  With int
-and Fraction entries and weights and an exponent of 1 or an integer, it is
-summed as Python ints over one common denominator (`_rational_sum`), and
-one Fraction is built at the end; any other input is summed term by term,
-left to right, as ``sum`` does.  A fiber mass (`DualExponent.mass`) of int
-and Fraction weights with such an exponent is summed the same way, one
-Fraction per mass instead of a Fraction division and addition per term.
+per-entry ``power`` of a norm or a fiber is one ``**``.  Its two masses, of
+a norm (`DualExponent.weighted_mass`) and of a fiber (`DualExponent.mass`),
+decide once whether they are exact: for an exponent of 1 or an integer and
+inputs that are all ints or Fractions, the one accumulator `_rational_sum`
+adds the terms as Python ints over one common denominator and one Fraction
+is built at the end; any other input is summed term by term, left to right,
+as ``sum`` does.
 
 A `SparseVector` never stores a zero: its constructor filters them out of
 whatever it is given, while vectors the library builds from dicts that
@@ -27,7 +26,6 @@ address.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from functools import cached_property
@@ -82,22 +80,19 @@ class DualExponent:
     r: object  # int, Fraction (non-integer) or math.inf
 
     def __post_init__(self):
-        # Resolved once, outside the fields: ``plain``, the exponent of ``power``
-        # (an int keeps rationals exact), 1/r for ``root``, and the hash.
+        # Resolved once, outside the fields but set as they are, so that they
+        # stay inline: ``plain``, the exponent of ``power`` (an int keeps
+        # rationals exact), 1/r for ``root``, and the hash.
         r = self.r
         if isinstance(r, Fraction) and r.denominator == 1:
             r = r.numerator
         e = float(r) if isinstance(r, Fraction) else r
         if isinstance(e, float) and e.is_integer():
             e = int(e)
-        vars(self).update(
-            r=r,
-            plain=r == 1 or r == math.inf,
-            _exponent=e,
-            _exact=isinstance(e, int),
-            _inverse=1.0 / float(r),
-            _hash=hash((r,)),
-        )
+        for name, value in (("r", r), ("plain", r == 1 or r == math.inf), ("_exponent", e),
+                            ("_exact", isinstance(e, int)), ("_inverse", 1.0 / float(r)),
+                            ("_hash", hash((r,)))):
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return self._hash
@@ -112,7 +107,7 @@ class DualExponent:
         """Whether powers of rationals stay rational (r an integer or inf)."""
         return not isinstance(self.r, Fraction)
 
-    @cached_property
+    @property
     def conjugate(self) -> "DualExponent":
         """The exponent r' with 1/r + 1/r' = 1."""
         if self.r == 1:
@@ -135,14 +130,17 @@ class DualExponent:
 
     def weighted_mass(self, values, weights):
         """``combine`` of the powered terms |x w|^r of the paired ``values``
-        and ``weights`` (two sequences): the mass of a norm.  For r = 1 or an
-        integer r, int and Fraction inputs are summed by `_rational_sum`,
-        equal in value and type to the sum of the terms; other inputs are
-        combined term by term, left to right."""
+        and ``weights`` (two sequences): the mass of a norm.  The terms are
+        added by `_rational_sum` or by ``combine`` as in ``mass``; an exact
+        norm mass is an int when every input is an int."""
         if self._exact:
-            mass = _rational_sum(values, weights, self._exponent)
-            if mass is not None:
-                return mass
+            types = {*map(type, values), *map(type, weights)}
+            if types <= _RATIONAL:
+                e = self._exponent
+                num, den = _rational_sum((abs(x.numerator * w.numerator) ** e,
+                                          (x.denominator * w.denominator) ** e)
+                                         for x, w in zip(values, weights))
+                return Fraction(num, den) if Fraction in types else num
         return self.combine(map(self.power, map(operator.mul, values, weights)))
 
     def root(self, mass):
@@ -159,36 +157,20 @@ class DualExponent:
         the mass is min |w| instead, so that the l^1 simplex infimum is that
         weight itself and not a rounded 1/fl(1/w).
 
-        With the default ``div`` and r = 1 or an integer r, pairs of an int
-        or Fraction weight and an int count are summed as Python ints over
-        one common denominator, as in `_rational_sum`, and one Fraction is
-        built at the end: equal in value and type to the sum of the
-        ``safe_div`` terms.  From the first pair of another type on, the
-        terms are summed left to right as ``sum`` does, after that exact
-        Fraction, so float and mixed masses are unchanged bit for bit."""
+        With the default ``div``, r = 1 or an integer r, int or Fraction
+        weights and int counts, the terms are added by `_rational_sum`: a
+        Fraction (0 for no pairs) equal to the ``sum`` of the ``safe_div``
+        terms.  Any other mass is that ``sum``, left to right, bit for bit."""
         if self.is_max:
             return min(abs(w) for w, _ in pairs)
-        if div is not safe_div or not self._exact:
-            return sum(div(count, self.power(w)) for w, count in pairs)
-        e = self._exponent
-        num, den = 0, 1
-        gcd = math.gcd
-        pairs = iter(pairs)
-        i = 0  # pairs read so far, the one that ends the exact sum included
-        for i, (w, count) in enumerate(pairs, 1):
-            if type(w) not in _RATIONAL or type(count) is not int:
-                break
-            a = count * w.denominator ** e  # the term count/|w|^e is a/b
-            b = abs(w.numerator) ** e
-            if den % b:
-                scale = b // gcd(den, b)
-                num, den = num * scale, den * scale
-            num += a * (den // b)
-        else:
-            return Fraction(num, den) if i else 0
-        head = (Fraction(num, den),) if i > 1 else ()
-        rest = itertools.chain(((w, count),), pairs)
-        return sum(itertools.chain(head, (div(c, self.power(x)) for x, c in rest)))
+        if div is safe_div and self._exact:
+            pairs = list(pairs)  # read twice: the type check, then the sum
+            if all(type(w) in _RATIONAL and type(count) is int for w, count in pairs):
+                e = self._exponent
+                num, den = _rational_sum((count * w.denominator ** e, abs(w.numerator) ** e)
+                                         for w, count in pairs)
+                return Fraction(num, den) if pairs else 0
+        return sum(div(count, self.power(w)) for w, count in pairs)
 
     def combined(self, mass):
         """The combined terms 1/|w|^r a ``mass`` stands for, in the scale of
@@ -209,27 +191,20 @@ class DualExponent:
 _RATIONAL = {int, Fraction}
 
 
-def _rational_sum(values, weights, e: int):
-    """sum |x w|^e over paired values and weights that are all ints or
-    Fractions, or None when one is of another type.  The terms are added as
-    Python ints over one common denominator, which grows by the part of a
-    term's denominator it lacks, and one Fraction is built at the end: equal
-    in value and type (int when every input is an int) to ``sum`` of the
-    Fraction terms."""
-    types = set(map(type, values))
-    types.update(map(type, weights))
-    if not types <= _RATIONAL:
-        return None
+def _rational_sum(terms):
+    """The sum of the fractions a/b given as int pairs ``(a, b)``, b > 0, as
+    an int pair ``(num, den)``: the one exact accumulator of norm and fiber
+    masses.  The terms are added as Python ints over one common denominator,
+    which grows by the part of a term's denominator it lacks, so the caller
+    builds one Fraction at the end instead of one per term."""
     num, den = 0, 1
     gcd = math.gcd
-    for x, w in zip(values, weights):
-        a = abs(x.numerator * w.numerator) ** e
-        b = (x.denominator * w.denominator) ** e
+    for a, b in terms:
         if den % b:
             scale = b // gcd(den, b)
             num, den = num * scale, den * scale
         num += a * (den // b)
-    return Fraction(num, den) if Fraction in types else num
+    return num, den
 
 
 @record(frozen=True)
@@ -241,10 +216,7 @@ class SpaceSpec:
 
     @staticmethod
     def ell(p) -> "SpaceSpec":
-        p = Fraction(p)
-        if p < 1:
-            raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
-        return SpaceSpec("lp", p)
+        return SpaceSpec("lp", Fraction(p))
 
     @staticmethod
     def c_zero() -> "SpaceSpec":
@@ -258,10 +230,13 @@ class SpaceSpec:
         return SpaceSpec.ell(Fraction(text))
 
     def __post_init__(self):
+        p = self.p
         if self.kind not in ("lp", "c0"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == "lp" and (self.p is None or self.p < 1):
-            raise ValueError("l^p spaces need p >= 1")
+        if self.kind == "lp" and (p is None or p < 1):
+            raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+        if self.kind == "lp" and p > 1 and to_float(max(p, p / (p - 1))) == math.inf:
+            raise ValueError("l^p needs p and p* = p/(p-1) within float range")
 
     @property
     def conjugate(self):

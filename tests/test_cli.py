@@ -337,6 +337,8 @@ _CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
     pytest.param("return-set", "argv", "--slack -1", id="negative-slack"),
     pytest.param("return-set", "argv", "--slack 1", id="slack-one"),
     pytest.param("criteria", "argv", "--space 1/0", id="space-zero-denominator"),
+    pytest.param("norm", "argv", "--space 1e400", id="space-beyond-float-range"),
+    pytest.param("criteria", "argv", f"--space 1.{'0' * 399}1", id="dual-beyond-float-range"),
     pytest.param("supercyclic", "argv", "--gamma powers:1/0", id="gamma-zero-denominator"),
     pytest.param("reproduce", "argv", "--horizon 5", id="reproduce-fixed-times-horizon"),
     *(pytest.param(command, "removed", text, id=f"{command}-takes-no-{text.split()[0][2:]}")

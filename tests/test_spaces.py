@@ -26,8 +26,9 @@ def test_space_spec_parsing():
     assert ts.SpaceSpec.parse("2") == L2
     assert ts.SpaceSpec.parse("c0") == C0
     assert ts.SpaceSpec.parse("4/3").p == Fraction(4, 3)
-    with pytest.raises(ValueError):
-        ts.SpaceSpec.parse("0.5")
+    for text in ("0.5", "1e400", "1." + "0" * 399 + "1"):  # p < 1, p and p* past float range
+        with pytest.raises(ValueError):
+            ts.SpaceSpec.parse(text)
 
 
 def test_conjugate_exponent():
@@ -199,15 +200,17 @@ def _fraction_term(count, w, r):
 def test_fiber_mass_is_the_left_to_right_sum_of_its_terms(r, weights, data):
     """``mass`` of (weight, count) pairs equals the sum of the terms
     count/|w|^r written out here: exact masses in value and type (a
-    Fraction), float and mixed ones by repr; min |w| for r = inf."""
+    Fraction), float and mixed ones by repr; min |w| for r = inf.  The
+    pairs come as a list and as a generator, which can be read only once."""
     pairs = data.draw(st.lists(st.tuples(weights, st.integers(1, 2 ** 64)),
                                min_size=1 if r == math.inf else 0, max_size=8))
-    got = ts.DualExponent(r).mass(pairs)
     if r == math.inf:
         want = min(abs(w) for w, _ in pairs)
     else:
         want = sum(_fraction_term(count, w, r) for w, count in pairs)
-    assert (type(got), repr(got)) == (type(want), repr(want))
+    for given_pairs in (pairs, (pair for pair in pairs)):
+        got = ts.DualExponent(r).mass(given_pairs)
+        assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 def test_equal_dual_exponents_share_a_memo_key():
@@ -396,7 +399,8 @@ def test_vector_kernels_equal_the_accumulation_from_zero(data):
         tree = ts.parse_tree_spec(data.draw(spec_documents())).source
     else:
         tree = ts.full_binary() if name == "full_binary" else ts.example_4_1(exact=True)
-    values = data.draw(st.sampled_from([_RATIONALS, _NONZERO, _FLOATS]))
+    values = data.draw(st.sampled_from([_RATIONALS, _NONZERO, _FLOATS,
+                                        st.one_of(_RATIONALS, _FLOATS)]))
     f = data.draw(_vectors(tree, values))
     g = data.draw(_vectors(tree, st.one_of(values, st.sampled_from(
         [x for _, x in f.items()] + [-x for _, x in f.items()] or [1])), list(f.support())))
