@@ -62,9 +62,8 @@ from .presets import (
 )
 from .shifts import BallSpec, apply_B_pow, operator_norm, orbit, return_set_report
 from .spaces import SpaceSpec, basis, load_vector, norm, to_float
-from .spaces import _norm as _vector_norm
-from .trees import ANCHOR, Truncation, validate
-from .treespec import TreeSpecDocument, load_tree_spec, resolve_model
+from .trees import ANCHOR, Truncation
+from .treespec import TreeSpecDocument, load_tree_spec, resolve_model, validate_document
 
 
 def _fmt(x) -> str:
@@ -178,7 +177,7 @@ def _load_ball(path: Optional[str], radius: float, space: SpaceSpec) -> BallSpec
 
 def _validate(args):
     doc = _load_document(args)
-    report = validate(doc.source, _truncation(args, doc))
+    report = validate_document(doc, _truncation(args, doc))
     lines = [f"validated {report.checked} vertices: {'OK' if report.ok else 'INVALID'}"]
     for v in report.violations:
         lines.append(f"  {v.code} at {v.where}: {v.detail}")
@@ -250,8 +249,7 @@ def _return_set(args):
     def rows():
         for n in range(args.horizon + 1):
             w = report.certified.get(n)
-            # the witnesses are library-built: their addresses need no check
-            yield n, w is not None, "" if w is None else _vector_norm(w, space, tree)
+            yield n, w is not None, "" if w is None else norm(w, space, tree)
 
     return 0, text, rows
 
@@ -425,6 +423,8 @@ class Command:
     header: Union[tuple[str, ...], dict[str, tuple[str, ...]]]
     run: Callable
     defaults: dict = field(default_factory=dict)
+
+    __hash__ = None  # by design: the defaults are a dict
 
 
 _TREE = ("--tree", "--preset", "--exact")

@@ -237,6 +237,8 @@ class RungResult:
     times: tuple[int, ...]
     verdict: Verdict
 
+    __hash__ = None  # by design: a Verdict is unhashable
+
 
 @record(frozen=True)
 class SampleSetResult:

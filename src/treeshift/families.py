@@ -80,6 +80,8 @@ class Verdict:
     positive_evidence: bool
     witness: dict = field(default_factory=dict)
 
+    __hash__ = None  # by design: the witness is a dict
+
     @property
     def acceptable(self) -> bool:
         """holds, or inconclusive with the evidence pointing at membership."""

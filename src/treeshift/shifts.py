@@ -7,10 +7,10 @@ weighted-shift boundedness criterion, a p*-mass of weight ratios combined by
 `spaces.DualExponent`, evaluated as a supremum over a finite truncation; on
 infinite trees that value is a certified lower bound.
 
-Public functions check the addresses of the vectors they are given; vectors
-built here (B-iterates, witnesses) go through the unchecked kernels.  On
-unrooted trees `apply_B`, `apply_B_pow` and `orbit` also check each spine
-vertex an entry moves onto for its spine child, which raises
+Public functions check the addresses of the vectors they are given once per
+tree (`spaces`); B^n and S results, orbit copies and witnesses are born
+checked.  On unrooted trees `apply_B`, `apply_B_pow` and `orbit` also check
+each spine vertex an entry moves onto for its spine child, which raises
 InvalidAddressError on a spine whose arity rule leaves that child out.  B^n
 and S results and orbit copies hold no zeros by construction, so they are
 wrapped without the `SparseVector` constructor's zero filter.
@@ -41,7 +41,16 @@ def apply_S(f: SparseVector, tree: TreeModel) -> SparseVector:
     """(Sf)(v) = f(parent(v)); on basis vectors S e_v spreads over Chi(v)."""
     _check_support(f, tree)
     # the children of distinct vertices are distinct: each value is stored as it is
-    return _vector({c: x for v, x in f.items() for c in _children(v, tree)})
+    new, type_arity, type_of = tuple.__new__, tree.type_arity, tree.type_of
+    out = {}
+    for v, x in f.items():
+        up, path = v
+        if up and not path:  # a spine vertex: one child is (up - 1; )
+            out.update(dict.fromkeys(_children(v, tree), x))
+        else:
+            for i in range(type_arity(type_of(v))):
+                out[new(VertexAddress, (up, path + (i,)))] = x
+    return _vector(out, tree.token)
 
 
 def apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
@@ -61,7 +70,7 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     to zero is dropped on the spot.  Targets are looked up as plain
     ``(up, path)`` tuples; a `VertexAddress` is built only when one is stored."""
     if n == 0:
-        return _vector(dict(f.items()))
+        return _vector(dict(f.items()), tree.token)
     rooted = tree.rooted
     acc: dict[VertexAddress, object] = {}
     get = acc.get
@@ -81,7 +90,7 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
             del acc[target]
         else:
             acc[target] = y
-    return _vector(acc)
+    return _vector(acc, tree.token)
 
 
 @record(frozen=True)
@@ -145,7 +154,7 @@ def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list
     first zero iterate (rooted orbits of finite vectors die in finite time)."""
     _check_support(f, tree)
     out = []
-    cur = _vector(dict(f.items()))
+    cur = _vector(dict(f.items()), tree.token)
     for n in range(n_max + 1):
         out.append(OrbitPoint(n, cur, to_float(_norm(cur, spec, tree))))
         if not cur:
@@ -187,18 +196,6 @@ def witness_return(
     _check_slack(slack)
     _check_support(U.center, tree)
     _check_support(V.center, tree)
-    return _witness_return(n, U, V, tree, slack)
-
-
-def _check_slack(slack: float) -> None:
-    """ValueError unless the radii that ``slack`` shrinks by ``1 - slack``
-    stay positive and no larger."""
-    if not 0 <= slack < 1:
-        raise ValueError("slack must satisfy 0 <= slack < 1")
-
-
-def _witness_return(n, U, V, tree, slack) -> Optional[SparseVector]:
-    """``witness_return`` with ball centres already known to be valid."""
     from .simplex import build_In_unrooted, build_Sn
     from .errors import EmptyFiberError
 
@@ -213,10 +210,10 @@ def _witness_return(n, U, V, tree, slack) -> Optional[SparseVector]:
     if tree.rooted:
         i_part = U.center
     else:
-        i_part = SparseVector()
+        i_part = _vector({}, tree.token)
         for v, x in U.center.items():
             i_part = i_part + x * build_In_unrooted(v, n, tree, U.space).vector
-    s_part = SparseVector()
+    s_part = _vector({}, tree.token)
     try:
         for v, x in V.center.items():
             s_part = s_part + x * build_Sn(v, n, tree, V.space)
@@ -228,6 +225,13 @@ def _witness_return(n, U, V, tree, slack) -> Optional[SparseVector]:
     if to_float(_norm(_apply_B_pow(f, n, tree) - V.center, V.space, tree)) >= r_v:
         return None
     return f
+
+
+def _check_slack(slack: float) -> None:
+    """ValueError unless the radii that ``slack`` shrinks by ``1 - slack``
+    stay positive and no larger."""
+    if not 0 <= slack < 1:
+        raise ValueError("slack must satisfy 0 <= slack < 1")
 
 
 @record
@@ -259,7 +263,7 @@ def return_set_report(
     _check_support(V.center, tree)
     report = ReturnSetReport(horizon=horizon)
     for n in range(horizon + 1):
-        w = _witness_return(n, U, V, tree, slack)
+        w = witness_return(n, U, V, tree, slack)
         if w is None:
             report.uncertified.add(n)
         else:

@@ -16,7 +16,8 @@ near-minimal types.  B only sums over children, so B^m of a vector that is
 constant per type is again constant per type, one level up: the synthesis
 computes its term norms and residual certificates per (level, type),
 bit-identical to evaluating the materialised vectors, which it still
-returns.  In l^1 the certificates are evaluated on those vectors.
+returns.  In l^1 the certificates are evaluated on those vectors.  Every
+vector built here is born checked on its tree (`spaces`).
 """
 
 from __future__ import annotations
@@ -152,12 +153,12 @@ def _right_inverse(v, n: int, tree: TreeModel, spec: SpaceSpec, delta=None):
         delta = (2.0 ** -n) * 1e-3
     coef, mass = _minimiser(fiber, kinds, tree.type_weight, spec.dual, delta)
     if spec.dual.is_max:
-        return _vector(coef), None, mass
+        return _vector(coef, tree.token), None, mass
     if 0 in coef.values():  # an underflowed coefficient, dropped like any zero
         coef = {k: x for k, x in coef.items() if x != 0}
-        g = _vector({u: coef[k] for u, k in zip(fiber, kinds) if k in coef})
+        g = _vector({u: coef[k] for u, k in zip(fiber, kinds) if k in coef}, tree.token)
     else:
-        g = _vector(dict(zip(fiber, map(coef.__getitem__, kinds))))
+        g = _vector(dict(zip(fiber, map(coef.__getitem__, kinds))), tree.token)
     return g, (kinds, coef), mass
 
 
@@ -200,9 +201,10 @@ def build_In_unrooted(v, n: int, tree: TreeModel, spec: SpaceSpec) -> InUnrooted
         spine_term = 1 / dual.power(spine)
         total = spine_term + mass
         kept, bound = 2 * spine_term >= total, dual.root(2 / total)
+    e_v = _vector({VertexAddress(v[0], tuple(v[1])): 1}, tree.token)
     if kept:
-        return InUnrootedResult(basis(v), "kept", to_float(bound))
-    return InUnrootedResult(basis(v) - h, "cancelled", to_float(bound))
+        return InUnrootedResult(e_v, "kept", to_float(bound))
+    return InUnrootedResult(e_v - h, "cancelled", to_float(bound))
 
 
 @record(frozen=True)
@@ -349,7 +351,7 @@ def build_recurrent_vector(
     merged: dict[VertexAddress, object] = {}
     for t in retained:
         merged.update(t.g.items())
-    f = _vector(merged)
+    f = _vector(merged, tree.token)
 
     if None in described:
         e_root = basis(ANCHOR)

@@ -22,6 +22,13 @@ and the merged recurrent vector, B^n and S results and orbit copies in
 store the first value that reaches an address as it is and add only when a
 second one reaches it, so an entry is built once per addition, not per
 address.
+
+A vector's addresses are checked once per tree: `_check_support` records
+the tree's ``token`` (a plain ``object()``, which does not keep the tree
+alive) on the vector and returns at once for a vector that carries it.
+Vectors the library builds on a tree are born with its token; sums and
+differences keep the token their operands share, scalar multiples their
+operand's.  A pickled or copied vector has a new token: it is checked again.
 """
 
 from __future__ import annotations
@@ -263,16 +270,12 @@ class SparseVector:
     immutable by convention: all arithmetic returns new vectors.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_checked")  # _checked: a tree's token, or None
 
     def __init__(self, entries=None):
-        d = {}
-        if entries:
-            items = entries.items() if hasattr(entries, "items") else entries
-            for v, x in items:
-                if x != 0:
-                    d[v] = x
-        self._entries = d
+        items = () if not entries else entries.items() if hasattr(entries, "items") else entries
+        self._entries = {v: x for v, x in items if x != 0}
+        self._checked = None
 
     def items(self):
         return self._entries.items()
@@ -316,7 +319,7 @@ class SparseVector:
                 del d[v]
             else:
                 d[v] = y
-        return _vector(d)
+        return _vector(d, self._checked if self._checked is other._checked else None)
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         d = dict(self._entries)
@@ -329,16 +332,17 @@ class SparseVector:
                 del d[v]
             else:
                 d[v] = y
-        return _vector(d)
+        return _vector(d, self._checked if self._checked is other._checked else None)
 
     def __neg__(self) -> "SparseVector":
         return (-1) * self
 
     def __rmul__(self, scalar) -> "SparseVector":
         if scalar == 0:
-            return SparseVector()
+            return _vector({}, self._checked)
         # a float product can underflow to 0, which is dropped like any zero
-        return _vector({v: y for v, x in self._entries.items() if (y := scalar * x) != 0})
+        return _vector({v: y for v, x in self._entries.items() if (y := scalar * x) != 0},
+                       self._checked)
 
     def __mul__(self, scalar) -> "SparseVector":
         return self.__rmul__(scalar)
@@ -350,12 +354,13 @@ class SparseVector:
         return f"SparseVector({{{parts}}})"
 
 
-def _vector(entries: dict) -> SparseVector:
+def _vector(entries: dict, checked=None) -> SparseVector:
     """A SparseVector that takes ``entries`` as they are, without the copy and
     zero filter of the constructor; for dicts the library built itself and
-    owns, which hold no zero values."""
+    owns, which hold no zero values, with the tree token ``checked``."""
     out = SparseVector.__new__(SparseVector)
     out._entries = entries
+    out._checked = checked
     return out
 
 
@@ -368,17 +373,21 @@ def pairing(f: SparseVector, g: SparseVector):
     """Bilinear duality pairing sum_v f(v) g(v) (no conjugation)."""
     if len(g) < len(f):
         f, g = g, f
+    get = g._entries.get
     total = 0
     for v, x in f.items():
-        y = g[v]
-        if y != 0:
+        y = get(v)
+        if y is not None:  # stored values are nonzero
             total += x * y
     return total
 
 
 def _check_support(f: SparseVector, tree: TreeModel) -> None:
-    for v in f.support():
-        tree.check(v)
+    """Check the addresses of ``f`` unless it carries the tree's token; then mark it."""
+    if f._checked is not tree.token:
+        for v in f._entries:
+            tree.check(v)
+        f._checked = tree.token
 
 
 def _norm_mass(f: SparseVector, exponent: DualExponent, tree: TreeModel):

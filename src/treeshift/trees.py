@@ -96,6 +96,8 @@ class EdgeData:
     anchor: str
     kind: str = ROOTED
 
+    __hash__ = None  # by design: the weights are a mapping
+
 
 class VertexTypes(NamedTuple):
     """``type_of(v)``, the type of the vertex at an address (used only where
@@ -115,11 +117,13 @@ class TreeModel:
     ``arity`` and ``weight`` are rules on the vertex types of ``types``;
     without ``types`` every vertex is its own type (``type_of(v)`` is ``v``).
     ``tree.arity(v)`` and ``tree.weight(v)`` take addresses; they and the
-    rules on types (``type_weight``, ``child_types``) are memoised, and
-    instances are safe to share across threads.  ``fiber_masses`` memoises
-    fiber masses (`spaces.fiber_mass`) under ``(dual, tuple(level.items()))``,
-    the (type, count) pairs of a level in sweep order, so that equal levels
-    are massed once; ``levels`` holds read-only fiber levels (`_fiber_types`).
+    rules on types (``type_arity``, ``type_weight``, ``child_types``) are
+    memoised, and instances are safe to share across threads.  ``token``, a
+    plain ``object()``, marks the vectors checked on the tree (`spaces`).
+    ``fiber_masses`` memoises fiber masses (`spaces.fiber_mass`) under
+    ``(dual, tuple(level.items()))``, the (type, count) pairs of a level in
+    sweep order, so that equal levels are massed once; ``levels`` holds
+    read-only fiber levels (`_fiber_types`).
     """
 
     fiber_profile = None  # read by perfbench/tracer.py, which wraps it when set
@@ -147,6 +151,7 @@ class TreeModel:
         self.name = name
         self.edge_data = edge_data
         self.types = types
+        self.token = object()
         self.fiber_masses: dict = {}
         self.levels: dict = {}
         self.spine_checked = 0  # the spine height `_check_climbs` has checked
@@ -154,8 +159,10 @@ class TreeModel:
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
         )
         type_of = self.type_of = types.type_of
+        type_arity = self.type_arity = lru_cache(maxsize=MEMO_SIZE)(arity)
         type_weight = self.type_weight = lru_cache(maxsize=MEMO_SIZE)(weight)
-        self.arity = lru_cache(maxsize=MEMO_SIZE)(lambda v: arity(type_of(v)))
+        self.arity = type_arity if own else lru_cache(maxsize=MEMO_SIZE)(
+            lambda v: type_arity(type_of(v)))
         self.weight = type_weight if own else lru_cache(maxsize=MEMO_SIZE)(
             lambda v: type_weight(type_of(v)))
 
@@ -163,7 +170,7 @@ class TreeModel:
             """The types of the children of a vertex of type ``t``, in order."""
             if isinstance(t, VertexAddress):  # a vertex that is its own type
                 return tuple(map(type_of, _children(t, tree())))
-            return tuple([types.child_type(t, i) for i in range(arity(t))])
+            return tuple([types.child_type(t, i) for i in range(type_arity(t))])
 
         self.child_types = lru_cache(maxsize=MEMO_SIZE)(child_types)
         # A rooted tree whose anchor type is its own only child type has one
@@ -238,8 +245,9 @@ def canonicalize(addr, tree: TreeModel) -> VertexAddress:
 def _children(v: VertexAddress, tree: TreeModel) -> list[VertexAddress]:
     """The children of ``v``, unchecked.  A spine vertex (k; ), k > 0, has at
     least its spine child (k - 1; ): an arity that does not cover the spine
-    child index, 0 included, raises InvalidAddressError."""
-    a = tree.arity(v)
+    child index, 0 included, raises InvalidAddressError.  The arity is read
+    by type: a memo on addresses would miss on every new vertex."""
+    a = tree.type_arity(tree.type_of(v))
     up, base = v
     if up > 0 and not base:
         s = tree.spine_child_index(up - 1)
@@ -635,19 +643,21 @@ def validate_edge_data(data: EdgeData) -> ValidationReport:
 
 def tree_from_edge_data(data: EdgeData) -> TreeModel:
     """Back a finite edge list by a TreeModel.  Children are ordered by label."""
+    return _index_edge_data(data)[1]()
+
+
+def _index_edge_data(data: EdgeData) -> tuple[ValidationReport, Callable[[], TreeModel]]:
+    """``validate_edge_data(data)`` and a builder of new TreeModels of the
+    edge list, which raises TreeSpecError unless the report is ok.  The
+    builders share the child lists and the address-to-label map made here."""
     report = validate_edge_data(data)
-    if not report.ok:
-        raise TreeSpecError(
-            "invalid edge list: " + "; ".join(f"{v.code} at {v.where}" for v in report.violations)
-        )
     kids: dict[str, list[str]] = {}
     for u, v in data.edges:
         kids.setdefault(u, []).append(v)
     for u in kids:
         kids[u].sort()
-
     addr_to_label: dict[VertexAddress, str] = {}
-    stack = [(data.anchor, ANCHOR)]
+    stack = [(data.anchor, ANCHOR)] if report.ok else []  # a walk needs a tree
     while stack:
         label, addr = stack.pop()
         addr_to_label[addr] = label
@@ -666,4 +676,10 @@ def tree_from_edge_data(data: EdgeData) -> TreeModel:
             raise InvalidAddressError(f"{format_address(v)} is outside the edge-list tree")
         return data.weights[lab]
 
-    return TreeModel(ROOTED, arity, weight, name="edge-list", edge_data=data)
+    def build() -> TreeModel:
+        if not report.ok:
+            raise TreeSpecError("invalid edge list: " + "; ".join(
+                f"{v.code} at {v.where}" for v in report.violations))
+        return TreeModel(ROOTED, arity, weight, name="edge-list", edge_data=data)
+
+    return report, build

@@ -67,7 +67,11 @@ A text is parsed once per process: `parse_tree_spec` keeps what the parse
 yields (the preset and its parameters, the edge list, or the rule tables)
 for the last ``_PARSED_TEXTS`` texts, keyed by the text itself.  Each call
 still builds its own `TreeModel`, whose memos are its own; an edge list's
-`EdgeData` is shared between calls, so its weights are read-only.
+`EdgeData` is shared between calls, so its weights are read-only.  From
+the first `resolve_model` or `validate_document` of an edge-list document
+on, its text's entry also keeps the edge list's validation report, sorted
+child lists and address-to-label map (`trees._index_edge_data`), so the
+edge list is validated once per process, and not by the parse itself.
 `load_tree_spec` reads the file on every call, so an edited file is parsed
 again.  A malformed text is not kept: it raises on every call.
 """
@@ -91,8 +95,9 @@ from .trees import (
     Truncation,
     VertexAddress,
     VertexTypes,
+    _index_edge_data,
     parse_address,
-    tree_from_edge_data,
+    validate,
 )
 
 
@@ -101,6 +106,7 @@ class TreeSpecDocument:
     source: Union[TreeModel, EdgeData]
     truncation: Truncation
     name: str
+    _index = None  # not a field: `_parse_text`'s kept index of an edge list
 
 
 def _read(parser: configparser.ConfigParser, section: str) -> dict:
@@ -117,15 +123,19 @@ _PARSED_TEXTS = 32
 def parse_tree_spec(text: str) -> TreeSpecDocument:
     """The document a tree-spec text describes, with a `TreeModel` of its
     own (or the text's shared `EdgeData`)."""
-    build, trunc, name = _parse_text(text)
-    return TreeSpecDocument(build(), trunc, name)
+    build, trunc, name, index = _parse_text(text)
+    doc = TreeSpecDocument(build(), trunc, name)
+    object.__setattr__(doc, "_index", index)
+    return doc
 
 
 @functools.lru_cache(maxsize=_PARSED_TEXTS)
-def _parse_text(text: str) -> tuple[Callable[[], Union[TreeModel, EdgeData]], Truncation, str]:
-    """``(build, truncation, name)`` of a text, where ``build()`` returns a new
-    TreeModel, or the edge list, from what the parse read.  Kept per text:
-    nothing it returns is ever changed, and an error is raised, not kept."""
+def _parse_text(text: str):
+    """``(build, truncation, name, index)`` of a text, where ``build()``
+    returns a new TreeModel, or the edge list, from what the parse read, and
+    ``index()`` an edge list's `trees._index_edge_data`, made on first call.
+    Kept per text: nothing it returns is ever changed, and an error is raised,
+    not kept."""
     parser = configparser.ConfigParser(
         delimiters=("=",), allow_no_value=True, strict=True, interpolation=None
     )
@@ -147,13 +157,14 @@ def _parse_text(text: str) -> tuple[Callable[[], Union[TreeModel, EdgeData]], Tr
 
     preset = tree_section.get("preset")
     if preset is not None:
-        return _preset_builder(preset, tree_section), trunc, preset
+        return _preset_builder(preset, tree_section), trunc, preset, None
 
     if parser.has_section("edges"):
         data = _build_edge_data(parser, tree_section)
-        return (lambda: data), trunc, "edge-list"
+        index = functools.cache(lambda: _index_edge_data(data))
+        return (lambda: data), trunc, "edge-list", index
 
-    return _custom_builder(parser, tree_section), trunc, "custom"
+    return _custom_builder(parser, tree_section), trunc, "custom", None
 
 
 def load_tree_spec(path) -> TreeSpecDocument:
@@ -165,7 +176,20 @@ def resolve_model(doc: TreeSpecDocument) -> TreeModel:
     """The TreeModel of a document; edge lists are validated on the way."""
     if isinstance(doc.source, TreeModel):
         return doc.source
-    return tree_from_edge_data(doc.source)
+    return _edge_index(doc)[1]()
+
+
+def validate_document(doc: TreeSpecDocument, trunc: Truncation):
+    """`trees.validate` of the document's source on ``trunc``; an edge list's
+    report, read-only, is the one `_edge_index` keeps."""
+    if isinstance(doc.source, TreeModel):
+        return validate(doc.source, trunc)
+    return _edge_index(doc)[0]
+
+
+def _edge_index(doc: TreeSpecDocument) -> tuple:
+    """The kept index of a parsed edge list, or a new one for a hand-built document."""
+    return doc._index() if doc._index is not None else _index_edge_data(doc.source)
 
 
 def _preset_builder(preset: str, tree_section: dict) -> Callable[[], TreeModel]:

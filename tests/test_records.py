@@ -276,6 +276,29 @@ def test_pickle_round_trip(case):
     assert copy == record and repr(copy) == repr(record)
 
 
+def test_hash_works_or_raises_by_design():
+    """A record whose field is a dict, or always holds a record that has one,
+    declares ``__hash__ = None``: hash() raises TypeError even where the dict
+    is empty.  A SampleSetResult and a TreeSpecDocument hash as their fields
+    do: with rungs, or with an edge list as source, the RungResult or the
+    EdgeData refuses; without, they hash."""
+    for cls in (Verdict, RungResult, Command, EdgeData):
+        assert cls.__hash__ is None
+    rung = RungResult(2, (1, 3), VERDICT)
+    report = treeshift.dynamics_report(treeshift.full_binary(), L2, horizon=4)
+    edges = treeshift.parse_tree_spec("[tree]\nanchor = a\n[edges]\na -> b\n"
+                                      "[edge_weights]\na = 1\nb = 1/2\n")
+    binary = treeshift.full_binary()
+    refused = [VERDICT, Verdict("fails", 4, False), rung, Command("h", ("--x",), ("a",), abs),
+               EDGES, SampleSetResult((V,), (rung,), 0.5, None), report.entries[0], edges,
+               TreeSpecDocument(EDGES, Truncation(4, 0), "e")]
+    for record in refused:
+        _raises(TypeError, hash, record)
+    for make in (lambda: SampleSetResult((V,), (), 0.5, None),
+                 lambda: TreeSpecDocument(binary, Truncation(), "full_binary")):
+        assert hash(make()) == hash(make())
+
+
 def test_construction_checks():
     _raises(ValueError, Truncation, -1)
     _raises(ValueError, BallSpec, E, 0, L2)

@@ -1,16 +1,22 @@
 """Backward/forward shift action, powers, operator norms, orbits, witnesses."""
 
+import copy
+import gc
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import VertexAddress as VA
 from treeshift.presets import chain_vertex, spine_vertex
 
-from conftest import random_sparse_vector
+from conftest import SPACES, random_sparse_vector, spec_documents
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
@@ -290,3 +296,129 @@ def test_return_slack_outside_unit_interval_is_rejected(binary, slack):
         ts.witness_return(3, ball, ball, binary, slack)
     with pytest.raises(ValueError, match="slack"):
         ts.return_set_report(ball, ball, 4, binary, slack)
+
+
+# --- a vector is checked once per tree -------------------------------------
+
+
+def _count_checks(monkeypatch) -> list:
+    """Record every address `TreeModel.check` is called with from now on."""
+    calls = []
+    check = ts.TreeModel.check
+    monkeypatch.setattr(ts.TreeModel, "check", lambda tree, v: calls.append(v) or check(tree, v))
+    return calls
+
+
+def _assert_marked_and_valid(vectors, tree):
+    """Each vector carries the tree's token, and every address of it passes
+    `tree.check`: the token never marks an address the tree rejects."""
+    for g in vectors:
+        assert g._checked is tree.token
+        for v in g.support():
+            tree.check(v)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_mark_never_lies(data):
+    """B^n, S, S_n, I_n, orbit points and return-set witnesses carry the
+    tree's token, and so do their sums, differences and scalar multiples;
+    every address of each is valid on the tree.  On tree-spec documents,
+    rooted and unrooted (their spines may break the spine rule), and on the
+    presets."""
+    name = data.draw(st.sampled_from(["rooted", "unrooted", *sorted(ts.PRESETS)]))
+    if name in ("rooted", "unrooted"):
+        tree = ts.parse_tree_spec(data.draw(spec_documents(unrooted=name == "unrooted"))).source
+    else:
+        tree = ts.make_preset(name)
+    verts = list(ts.enumerate_truncation(tree, ts.Truncation(4, 2)))
+    picks = data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=5, unique=True))
+    values = st.sampled_from([1, -2, Fraction(1, 3), 0.5])
+    f = ts.SparseVector({v: data.draw(values) for v in picks})
+    n, spec = data.draw(st.integers(0, 3)), data.draw(st.sampled_from(SPACES))
+    built = []
+
+    def keep(call):
+        try:
+            built.extend(call())
+        except (ts.InvalidAddressError, ts.EmptyFiberError):  # a broken spine, an empty fiber
+            pass
+
+    keep(lambda: [ts.apply_B_pow(f, n, tree), ts.apply_S(f, tree), f])
+    keep(lambda: [p.vector for p in ts.orbit(f, n, tree, spec)])
+    for v in picks[:2]:
+        keep(lambda: [ts.build_Sn(v, n, tree, spec)])
+        if not tree.rooted:
+            keep(lambda: [ts.build_In_unrooted(v, n, tree, spec).vector])
+    U, V = (ts.BallSpec(ts.basis(v), 1.0, spec) for v in (picks[0], picks[-1]))
+    keep(lambda: ts.return_set_report(U, V, n, tree).certified.values())
+    for a, b in zip(built, built[1:] + built[:1]):
+        built += [a + b, a - b, 3 * a, -b, 0 * a]
+    _assert_marked_and_valid(built, tree)
+
+
+def test_a_vector_checked_on_one_tree_is_checked_again_on_another(binary, unary):
+    f = ts.SparseVector({VA(0, (1,)): 1, VA(0, (0,)): 2})
+    s = ts.apply_S(f, binary)
+    assert f._checked is s._checked is binary.token
+    for g in (f, s, 2 * s, s + s, -s):
+        with pytest.raises(ts.InvalidAddressError):
+            ts.apply_B(g, unary)  # (0; 1) and below are not on the unary path
+        assert g._checked is binary.token
+    assert ts.norm(ts.basis(VA(0, (0,))), L2, unary) == 1.0
+    off = ts.basis(VA(0, (2,)))  # not on the binary tree: no sum with it is checked
+    for g in (s + off, off + s, s - off, off - s):
+        assert g._checked is None
+        with pytest.raises(ts.InvalidAddressError):
+            ts.norm(g, L2, binary)
+
+
+@pytest.mark.parametrize("round_trip", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_vector_is_checked_again_once(binary, monkeypatch, round_trip):
+    g = ts.apply_S(ts.SparseVector({VA(0, (1,)): 1, VA(0, (0, 1)): Fraction(1, 2)}), binary)
+    assert g._checked is binary.token
+    twin = round_trip(g)
+    assert twin == g and list(twin.items()) == list(g.items())
+    assert twin._checked is not binary.token
+    calls = _count_checks(monkeypatch)
+    for _ in range(3):
+        assert ts.norm(twin, L2, binary) == ts.norm(g, L2, binary)
+    assert sorted(calls) == sorted(twin.support())
+
+
+def test_a_vector_does_not_keep_its_tree_alive():
+    """The token names the tree without referring to it."""
+    tree = ts.example_7_2()
+    token = tree.token
+    g = ts.apply_S(ts.SparseVector({chain_vertex(0, 1): 1, spine_vertex(2): -1}), tree)
+    assert g._checked is token
+    ref = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert ref() is None
+    assert g._checked is token and len(g) == 2
+
+
+def test_a_user_vector_is_checked_once_per_tree(monkeypatch):
+    """apply_B, orbit and norm on one user vector of m entries check m
+    addresses in all: the first call checks each one, the others read the
+    tree's token on the vector."""
+    tree = ts.full_binary()
+    f = ts.SparseVector({VA(0, tuple(map(int, format(k, "b")))): k for k in range(1, 40)})
+    calls = _count_checks(monkeypatch)
+    ts.apply_B(f, tree)
+    ts.orbit(f, 3, tree, L2)
+    ts.norm(f, L2, tree)
+    assert sorted(calls) == sorted(f.support())
+
+
+def test_library_built_vectors_are_born_checked(monkeypatch):
+    """B^n and the norm of S_n e_v check nothing after build_Sn checks v."""
+    for tree, v in ((ts.full_binary(), VA(0, (1,))), (ts.example_7_2(), spine_vertex(2))):
+        calls = _count_checks(monkeypatch)
+        g = ts.build_Sn(v, 5, tree, L2)
+        assert calls == [v]
+        assert ts.apply_B_pow(g, 5, tree) == ts.basis(v)
+        ts.norm(g, L2, tree)
+        assert calls == [v]

@@ -285,6 +285,39 @@ def test_edge_lists_are_shared_read_only():
     assert resolve_model(first) is not resolve_model(second)
 
 
+def test_an_edge_list_is_validated_once_per_process(tmp_path, monkeypatch, capsys):
+    """criteria, validate and norm on one edge-list document, and further
+    loads of it, validate the edge list once; the parse itself does not.  An
+    invalid list keeps its report, and a document built by hand, which has
+    no parse entry, is validated on every call."""
+    calls = []
+    validate_edge_data = ts.trees.validate_edge_data
+    monkeypatch.setattr(ts.trees, "validate_edge_data",
+                        lambda data: calls.append(data) or validate_edge_data(data))
+    path = tmp_path / "edges.ini"
+    path.write_text(_EDGES.replace("a = 1", "a = 1\n# validated once"))
+    doc = load_tree_spec(path)
+    assert calls == []
+    for argv in (["criteria", "--horizon", "4"], ["validate"], ["norm", "--space", "2"]):
+        assert main([argv[0], "--tree", str(path), *argv[1:]]) == 0
+    assert "validated 2 vertices: OK" in capsys.readouterr().out
+    assert calls == [doc.source]
+    assert treespec.validate_document(doc, doc.truncation) == ts.validate(doc.source)
+    assert resolve_model(doc).weight(VA(0, (0,))) == Fraction(1, 2)
+    assert len(calls) == 2  # the direct `ts.validate` above
+    bad = parse_tree_spec(_EDGES.replace("b = 1/2", "b = 0"))
+    for _ in range(2):
+        with pytest.raises(ts.TreeSpecError, match="ZeroWeight"):
+            resolve_model(bad)
+        assert treespec.validate_document(bad, bad.truncation).codes() == {"ZeroWeight"}
+    assert len(calls) == 3
+    by_hand = TreeSpecDocument(doc.source, doc.truncation, doc.name)
+    assert by_hand == doc
+    resolve_model(by_hand)
+    treespec.validate_document(by_hand, by_hand.truncation)
+    assert len(calls) == 5
+
+
 def test_a_rewritten_file_is_parsed_again(tmp_path):
     path = tmp_path / "tree.ini"
     path.write_text("[tree]\npreset = example_7_2\n")
