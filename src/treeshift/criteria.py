@@ -13,11 +13,15 @@ every verdict is horizon-stamped rather than asserted as a true limit.
 Public functions check the vertices they are given.  The reports read each
 sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
 n = 0..horizon; the floor of a sample set is the elementwise min of its rows.
-A q row is one sweep of the levels below v (`trees._step`), a j row one
-merge of memoised levels per n (`trees._spine_fiber`), and each level is
-massed once per tree (`spaces._level_mass`).  All the rungs of a ladder are
-thresholded in one pass over a floor (`_rung_times`): each entry is placed
-among the sorted thresholds by bisection.
+A tree keeps one q row per (space, vertex type), a sweep of the levels below
+the type (`trees._step`); a type first met below a chain of single children
+reads the row of the chain's head from its offset (`_q_row`).  A j row is
+one merge of memoised levels per n (`trees._spine_fiber`), and each level
+is massed once per tree (`spaces._level_mass`).  All the rungs of a ladder
+are thresholded in one pass over a floor (`_rung_times`): each entry is
+ranked once among the sorted thresholds, and every rung's times come out
+ascending, so that the families judge them by their runs without sorting
+them again.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import field, record
@@ -37,6 +43,7 @@ from .trees import (
     Truncation,
     VertexAddress,
     _p_n,
+    _remember,
     _spine_fiber,
     _step,
     enumerate_distinct_subtrees,
@@ -60,7 +67,7 @@ def _j_parts(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> tupl
     """The parts of j(v, n) on an unrooted tree: ``(mu(p^n v), q-mass of
     Chi^n(p^n v))``, the fiber's level read by `trees._spine_fiber`."""
     s, level = _spine_fiber(v, n, tree)
-    return tree.weight(s), _level_mass(tree, level, spec.dual)[1]
+    return tree.weight(s), _level_mass(tree, level, spec.dual, (tree.type_of(s), n))[1]
 
 
 def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1, k=None):
@@ -104,13 +111,38 @@ def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
 
 def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
     """q(v, n) in the scale of thresholds, n = 0..horizon: `fiber_mass`'s
-    ``combined`` terms, swept without keeping levels (rows reach thousands)."""
-    level, row = {tree.type_of(v): 1}, []
-    for n in range(horizon + 1):
-        if n:
-            level = _step(level, tree)
-        row.append(_level_mass(tree, level, spec.dual)[1])
-    return row
+    ``combined`` terms.  A tree keeps one row per (dual, vertex type) in
+    ``tree.q_rows``, with the last level it swept, and a vertex reads the row
+    of its type.  A type without a row reads the row of the nearest ancestor
+    on its path whose descendants down to v are single children: that row
+    reached v's type, as the level {type: 1}, at the offset of their
+    distance, and the levels below are the same dicts, so the masses are the
+    same objects.  Levels past a kept row are swept from its last level."""
+    dual, t = spec.dual, tree.type_of(v)
+    row, level = tree.q_rows.get((dual, t)) or _chain_row(v, tree, dual) or ([], None)
+    if len(row) <= horizon:
+        row = list(row)
+        for n in range(len(row), horizon + 1):
+            level = {t: 1} if n == 0 else _step(level, tree)
+            row.append(_level_mass(tree, level, dual, (t, n))[1])
+        _remember(tree.q_rows, (dual, t), (row, level))
+    return row[:horizon + 1]
+
+
+def _chain_row(v: VertexAddress, tree: TreeModel, dual) -> Optional[tuple]:
+    """``(row, last level)`` of v's type from the kept row of the nearest
+    ancestor a = p^k(v) on v's path, where a and the vertices below it down
+    to p(v) have one child each: that row from n = k on.  None if no such
+    ancestor has a row longer than k."""
+    up, path = v
+    for k in range(1, len(path) + 1):
+        a = tree.type_of(tuple.__new__(VertexAddress, (up, path[:-k])))
+        if tree.type_arity(a) != 1:
+            return None
+        entry = tree.q_rows.get((dual, a))
+        if entry is not None and len(entry[0]) > k:
+            return entry[0][k:], entry[1]
+    return None
 
 
 def _floor(rows: Sequence[list]) -> Optional[list]:
@@ -120,25 +152,27 @@ def _floor(rows: Sequence[list]) -> Optional[list]:
 
 
 def _rung_times(floor: Optional[list], ladder: Sequence, spec: SpaceSpec,
-                horizon: int) -> list[set[int]]:
-    """The time set of every rung N of ``ladder``, in ladder order: the
-    n <= horizon where the floor exceeds N (every such n for the floor of an
-    empty set).  Each floor entry is placed once among the distinct
-    thresholds, sorted, by bisection; the times of a rung are the entries
-    placed above its threshold.  A NaN threshold, which nothing exceeds, is
+                horizon: int) -> list[list[int]]:
+    """The times of every rung N of ``ladder``, in ladder order, each list
+    ascending: the n <= horizon where the floor exceeds N (every such n for
+    the floor of an empty set).  Each floor entry is ranked once, by
+    bisection among the distinct thresholds, sorted: its rank is the number
+    of thresholds it exceeds.  When every threshold is an int, an exact
+    Fraction entry m is ranked by its ceiling, an int, since m > N iff
+    ceil(m) > N.  A rung's times are the n ranked above its threshold's
+    index, picked in order.  A NaN threshold, which nothing exceeds, is
     left out of the sort."""
     thresholds = [spec.dual.threshold(N) for N in ladder]
     if floor is None:
-        return [set(range(horizon + 1)) for _ in thresholds]
+        return [list(range(horizon + 1)) for _ in thresholds]
     ranks = sorted({t for t in thresholds if t == t})
-    placed = [[] for _ in range(len(ranks) + 1)]  # by the number of thresholds exceeded
-    for n, m in enumerate(floor):
-        placed[bisect_left(ranks, m)].append(n)
-    above, exceeding = {}, set()
-    for i in range(len(ranks), 0, -1):
-        exceeding = exceeding.union(placed[i])
-        above[ranks[i - 1]] = exceeding
-    return [set(above.get(t, ())) for t in thresholds]
+    if Fraction in set(map(type, floor)) and all(type(t) is int for t in ranks):
+        floor = [-(-m.numerator // m.denominator) if type(m) is Fraction else m for m in floor]
+    placed = list(map(partial(bisect_left, ranks), floor))
+    index = {t: i for i, t in enumerate(ranks)}
+    times = list(range(len(placed)))  # one int object per time, shared by the rungs
+    return [list(compress(times, map(index[t].__lt__, placed))) if t in index else []
+            for t in thresholds]
 
 
 def I_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
@@ -151,7 +185,7 @@ def I_sets(F, ladder: Sequence, tree: TreeModel, spec: SpaceSpec,
     """`I_set` of F for every rung N of ``ladder``, in ladder order, from one
     read of each q row of F."""
     rows = [_q_row(v, tree, spec, horizon) for v in _checked(F, tree)]
-    return _rung_times(_floor(rows), ladder, spec, horizon)
+    return [set(times) for times in _rung_times(_floor(rows), ladder, spec, horizon)]
 
 
 def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
@@ -159,7 +193,7 @@ def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
     if tree.rooted:
         raise RootedTreeError("J_set is defined on unrooted trees")
     rows = [_j_row(v, tree, spec, horizon) for v in _checked(F, tree)]
-    return _rung_times(_floor(rows), [N], spec, horizon)[0]
+    return set(_rung_times(_floor(rows), [N], spec, horizon)[0])
 
 
 def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: int):
@@ -342,7 +376,7 @@ def dynamics_report(
         verts = tuple(sorted(F))
         q_floor, j_floor, floor = _floors(verts, q_rows, j_rows)
         rungs = [
-            RungResult(N, tuple(sorted(times)), family_verdict(times, fam, horizon))
+            RungResult(N, tuple(times), family_verdict(times, fam, horizon))
             for N, times in zip(ladder, _rung_times(floor, ladder, spec, horizon))
         ]
         q_sup = _value(max(q_floor), spec)

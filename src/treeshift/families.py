@@ -5,10 +5,17 @@ evidence window (fails), or left open (inconclusive).  Whatever the status,
 ``positive_evidence`` records whether the window data leans toward membership;
 reports aggregate on that flag.  All verdicts carry the horizon they were
 computed at; nothing here claims a true limit.
+
+A time set is judged by its maximal runs of consecutive times in the window
+(`_runs`), so a verdict costs one sort of the set and then work per run, not
+per time: syndetic gaps are the gaps between runs, thick intervals the run
+lengths, and the tilde core shrinks each run by N at both ends.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import sub
 from typing import Optional, Sequence
 
 from ._record import field, record
@@ -90,84 +97,83 @@ class Verdict:
         )
 
 
-def _runs(elements: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers as (start, end) pairs."""
-    runs = []
-    for x in elements:
-        if runs and x == runs[-1][1] + 1:
-            runs[-1][1] = x
-        else:
-            runs.append([x, x])
-    return [(a, b) for a, b in runs]
+def _runs(A, horizon: int) -> list[tuple[int, int]]:
+    """The maximal runs [a, b] of consecutive times of A (a set of ints) in
+    [0, horizon], ascending.  The times are sorted once; within a run the
+    i-th sorted time minus i is constant, so the runs are the distinct values
+    of that difference, each found by bisection: the work per time is done in
+    C, and the Python work is per run."""
+    s = sorted(set(A))
+    s = s[bisect_left(s, 0):bisect_right(s, horizon)]
+    offsets = list(map(sub, s, range(len(s))))  # non-decreasing: the times are distinct
+    keys = list(dict.fromkeys(offsets))
+    starts = [bisect_left(offsets, k) for k in keys] + [len(s)]
+    return [(k + i, k + j - 1) for k, i, j in zip(keys, starts, starts[1:])]
 
 
 def family_verdict(A, fam: FamilySpec, horizon: int) -> Verdict:
-    """Judge membership of A (a set of times <= horizon) in the family.
+    """Judge membership of A (a set of int times; those outside [0, horizon]
+    are ignored) in the family, from the sorted runs of A in the window.
 
     Semantics on the window [0, horizon]:
 
     * syndetic(g): holds iff every g+1 consecutive times meet A; a longer
-      absence refutes it outright.
-    * thick(L): holds iff A contains L consecutive times; otherwise it fails
-      at this horizon (a run may still appear beyond it).
+      absence refutes it outright.  The absences are the gaps between runs,
+      and the first longest one is the witness.
+    * thick(L): holds iff A contains L consecutive times, i.e. a run of
+      length L; otherwise it fails at this horizon (a run may still appear
+      beyond it).
     * cofinite: never decidable positively; inconclusive with positive
       evidence when A fills a whole tail [m, horizon], fails when the window
       ends with times missing from A.
     * infinite: inconclusive with density statistics; fails at the horizon
       when A misses the entire last quarter of the window.
     * tilde(N, inner): tests the inner family on the core of times whose full
-      [-N, N] neighbourhood (clipped at 0) lies in A.
+      [-N, N] neighbourhood (clipped at 0) lies in A: each run [a, b] shrinks
+      to [a + N, b - N] ([0, b - N] when a = 0), within [0, horizon - N].
     * generated filter: holds iff some listed base set is contained in A.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    elements = sorted(x for x in A if 0 <= x <= horizon)
-    occupied = set(elements)
+    return _judge(_runs(A, horizon), fam, horizon)
 
+
+def _judge(runs: list[tuple[int, int]], fam: FamilySpec, horizon: int) -> Verdict:
+    """`family_verdict` of the set whose runs in [0, horizon] are ``runs``."""
     if fam.kind == SYNDETIC:
         g = fam.gap
         if horizon < g:
-            return Verdict("inconclusive", horizon, bool(elements), {"reason": "window shorter than gap"})
-        # longest run of absent times inside the window
-        longest_absent, cur, at = 0, 0, None
-        start = None
-        for t in range(horizon + 1):
-            if t in occupied:
-                cur, start = 0, None
-            else:
-                if start is None:
-                    start = t
-                cur += 1
-                if cur > longest_absent:
-                    longest_absent, at = cur, start
-        if longest_absent <= g:
+            return Verdict("inconclusive", horizon, bool(runs), {"reason": "window shorter than gap"})
+        # the first longest stretch of absent times: before, between and after the runs
+        longest, at, prev = 0, None, -1
+        for a, b in runs + [(horizon + 1, None)]:
+            if a - prev - 1 > longest:
+                longest, at = a - prev - 1, prev + 1
+            prev = b
+        if longest <= g:
             return Verdict(
                 "holds", horizon, True,
-                {"max_gap": longest_absent + 1, "max_absent_run": longest_absent},
+                {"max_gap": longest + 1, "max_absent_run": longest},
             )
         return Verdict(
             "fails", horizon, False,
-            {"missing_window": (at, at + longest_absent - 1)},
+            {"missing_window": (at, at + longest - 1)},
         )
 
     if fam.kind == THICK:
-        runs = _runs(elements)
-        best = max(runs, key=lambda r: r[1] - r[0], default=None)
         need = fam.length
         for a, b in runs:
             if b - a + 1 >= need:
                 return Verdict("holds", horizon, True, {"interval": (a, a + need - 1)})
-        longest = 0 if best is None else best[1] - best[0] + 1
+        longest = max((b - a + 1 for a, b in runs), default=0)
         return Verdict("fails", horizon, False, {"longest_run": longest})
 
+    last = runs[-1][1] if runs else None
     if fam.kind == COFINITE:
-        if elements and elements[-1] == horizon:
-            runs = _runs(elements)
-            tail_start = runs[-1][0]
+        if last == horizon:
             return Verdict(
-                "inconclusive", horizon, True, {"tail_start": tail_start}
+                "inconclusive", horizon, True, {"tail_start": runs[-1][0]}
             )
-        last = elements[-1] if elements else None
         return Verdict(
             "fails", horizon, False,
             {"terminal_gap": (last + 1 if last is not None else 0, horizon)},
@@ -176,14 +182,14 @@ def family_verdict(A, fam: FamilySpec, horizon: int) -> Verdict:
     if fam.kind == INFINITE:
         window_len = max(1, (horizon + 1) // 4)
         window_start = horizon + 1 - window_len
-        in_tail = [x for x in elements if x >= window_start]
+        count = sum(b - a + 1 for a, b in runs)
         stats = {
-            "count": len(elements),
-            "density": len(elements) / (horizon + 1),
-            "last": elements[-1] if elements else None,
+            "count": count,
+            "density": count / (horizon + 1),
+            "last": last,
             "tail_window": (window_start, horizon),
         }
-        if not in_tail:
+        if last is None or last < window_start:
             return Verdict("fails", horizon, False, stats)
         return Verdict("inconclusive", horizon, True, stats)
 
@@ -192,17 +198,16 @@ def family_verdict(A, fam: FamilySpec, horizon: int) -> Verdict:
         effective = horizon - N
         if effective < 0:
             return Verdict("inconclusive", horizon, False, {"reason": "horizon below N"})
-        core = {
-            t
-            for t in range(effective + 1)
-            if all(m in occupied for m in range(max(0, t - N), t + N + 1))
-        }
-        inner = family_verdict(core, fam.inner, effective)
+        # b <= horizon, so b - N <= effective; the cores of two runs stay apart
+        core = [(a + N if a else 0, b - N) for a, b in runs if (a + N if a else 0) <= b - N]
+        inner = _judge(core, fam.inner, effective)
         witness = dict(inner.witness)
-        witness.update({"core_size": len(core), "effective_horizon": effective})
+        witness.update({"core_size": sum(b - a + 1 for a, b in core),
+                        "effective_horizon": effective})
         return Verdict(inner.status, horizon, inner.positive_evidence, witness)
 
     if fam.kind == GENERATED_FILTER:
+        occupied = {t for a, b in runs for t in range(a, b + 1)}
         best_label, best_missing = None, None
         for label, base in fam.bases:
             missing = len(base - occupied)

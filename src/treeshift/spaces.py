@@ -37,10 +37,11 @@ import math
 import operator
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from typing import IO, Iterator, Optional
 
 from ._record import record
-from .errors import InvalidAddressError
+from .errors import InvalidAddressError, WorkBudgetError
 from .trees import (
     TreeModel,
     VertexAddress,
@@ -96,8 +97,12 @@ class DualExponent:
         e = float(r) if isinstance(r, Fraction) else r
         if isinstance(e, float) and e.is_integer():
             e = int(e)
+        # ``_max_bits``: the longest int whose exact power stays within
+        # MAX_POWER_BITS (no bound where nothing is powered), worked out here
+        # once instead of per term.
         for name, value in (("r", r), ("plain", r == 1 or r == math.inf), ("_exponent", e),
                             ("_exact", isinstance(e, int)), ("_inverse", 1.0 / float(r)),
+                            ("_max_bits", MAX_POWER_BITS // e if isinstance(e, int) and e > 1 else math.inf),
                             ("_hash", hash((r,)))):
             object.__setattr__(self, name, value)
 
@@ -124,10 +129,14 @@ class DualExponent:
         return DualExponent(Fraction(self.r) / (self.r - 1))
 
     def power(self, x):
-        """|x|^r, exact for rational x and integer r; |x| for r = 1 or inf."""
+        """|x|^r, exact for rational x and integer r; |x| for r = 1 or inf.
+        An exact power past the size budget raises WorkBudgetError."""
         if self.plain:
             return abs(x)
         if self._exact:
+            if type(x) in _RATIONAL and (x.numerator.bit_length() > self._max_bits
+                                         or x.denominator.bit_length() > self._max_bits):
+                self._budget((x.numerator, x.denominator))
             return abs(x) ** self._exponent
         return to_float(abs(x)) ** self._exponent
 
@@ -143,10 +152,11 @@ class DualExponent:
         if self._exact:
             types = {*map(type, values), *map(type, weights)}
             if types <= _RATIONAL:
-                e = self._exponent
-                num, den = _rational_sum((abs(x.numerator * w.numerator) ** e,
-                                          (x.denominator * w.denominator) ** e)
-                                         for x, w in zip(values, weights))
+                e = repeat(self._exponent)
+                nums = [abs(x.numerator * w.numerator) for x, w in zip(values, weights)]
+                dens = [x.denominator * w.denominator for x, w in zip(values, weights)]
+                self._budget(nums + dens)
+                num, den = _rational_sum(zip(map(pow, nums, e), map(pow, dens, e)))
                 return Fraction(num, den) if Fraction in types else num
         return self.combine(map(self.power, map(operator.mul, values, weights)))
 
@@ -173,11 +183,24 @@ class DualExponent:
         if div is safe_div and self._exact:
             pairs = list(pairs)  # read twice: the type check, then the sum
             if all(type(w) in _RATIONAL and type(count) is int for w, count in pairs):
-                e = self._exponent
-                num, den = _rational_sum((count * w.denominator ** e, abs(w.numerator) ** e)
-                                         for w, count in pairs)
+                e = repeat(self._exponent)
+                nums = [abs(w.numerator) for w, _ in pairs]
+                dens = [w.denominator for w, _ in pairs]
+                self._budget(nums + dens)
+                counts = [count for _, count in pairs]
+                num, den = _rational_sum(zip(map(operator.mul, counts, map(pow, dens, e)),
+                                             map(pow, nums, e)))
                 return Fraction(num, den) if pairs else 0
         return sum(div(count, self.power(w)) for w, count in pairs)
+
+    def _budget(self, ints) -> None:
+        """Raise WorkBudgetError if the exact r-th power of one of ``ints``
+        would pass MAX_POWER_BITS: |x|^r has about r * bit_length(x) bits."""
+        bits = max(map(int.bit_length, ints), default=0)
+        if bits > self._max_bits:
+            raise WorkBudgetError(
+                f"an exact power |x|^{self._exponent} would have about {bits * self._exponent} "
+                f"bits, past the budget of {MAX_POWER_BITS} bits")
 
     def combined(self, mass):
         """The combined terms 1/|w|^r a ``mass`` stands for, in the scale of
@@ -196,6 +219,9 @@ class DualExponent:
 
 
 _RATIONAL = {int, Fraction}
+
+# The most bits an exact power |x|^r may have: 2^20 bits, 128 KiB.
+MAX_POWER_BITS = 1 << 20
 
 
 def _rational_sum(terms):
@@ -438,18 +464,33 @@ def fiber_mass(tree: TreeModel, v: VertexAddress, n: int, spec: SpaceSpec):
     live as long as the tree; keeping ``combined`` spares the criteria a
     Fraction division per threshold comparison for l^1.
     """
-    return _level_mass(tree, _fiber_types(tree.type_of(v), n, tree), spec.dual)
+    return _level_mass(tree, None, spec.dual, (tree.type_of(v), n))
 
 
-def _level_mass(tree: TreeModel, level: dict, dual: DualExponent):
-    """`fiber_mass` of a fiber level given as ``{type: count}``.  It depends
-    on the (type, count) pairs alone, so it is memoised in
+def _level_mass(tree: TreeModel, level: Optional[dict], dual: DualExponent, below: tuple):
+    """`fiber_mass` of a fiber level given as ``{type: count}``, the level n
+    generations below a vertex of type t, ``below`` = ``(t, n)``; a
+    ``level`` of None is read from there (`trees._fiber_types`) when needed.
+    The mass depends on the (type, count) pairs alone, so it is memoised in
     ``tree.fiber_masses`` under ``(dual, tuple(level.items()))`` and equal
     levels below different vertices are massed once; the order is part of
-    the key because a float sum depends on it."""
-    key = (dual, tuple(level.items()))
+    the key because a float sum depends on it.
+
+    On a tree where every vertex is its own type (``tree.own_types``),
+    distinct vertices never share a non-empty level, and the key of a level
+    as long as its fiber would cost as much as the fiber.  There the key is
+    ``(dual, t, n)``, and the level is read only on a miss, so that a repeat
+    read costs O(1)."""
+    if tree.own_types:
+        key = (dual, *below)
+    else:
+        if level is None:
+            level = _fiber_types(*below, tree)
+        key = (dual, tuple(level.items()))
     entry = tree.fiber_masses.get(key)
     if entry is None:
+        if level is None:
+            level = _fiber_types(*below, tree)
         pairs = [(tree.type_weight(t), count) for t, count in level.items()]
         mass = dual.mass(pairs) if pairs else None
         entry = mass, 0 if mass is None else dual.combined(mass)

@@ -122,8 +122,11 @@ class TreeModel:
     plain ``object()``, marks the vectors checked on the tree (`spaces`).
     ``fiber_masses`` memoises fiber masses (`spaces.fiber_mass`) under
     ``(dual, tuple(level.items()))``, the (type, count) pairs of a level in
-    sweep order, so that equal levels are massed once; ``levels`` holds
-    read-only fiber levels (`_fiber_types`).
+    sweep order, so that equal levels are massed once, or, where
+    ``own_types`` says that every vertex is its own type, under
+    ``(dual, v, n)``; ``levels`` holds read-only fiber levels
+    (`_fiber_types`) and ``q_rows`` one q-mass row per (dual, type), with the
+    last level it swept (`criteria._q_row`).
     """
 
     fiber_profile = None  # read by perfbench/tracer.py, which wraps it when set
@@ -152,8 +155,10 @@ class TreeModel:
         self.edge_data = edge_data
         self.types = types
         self.token = object()
+        self.own_types = own
         self.fiber_masses: dict = {}
         self.levels: dict = {}
+        self.q_rows: dict = {}
         self.spine_checked = 0  # the spine height `_check_climbs` has checked
         self.spine_child_index = (
             lru_cache(maxsize=1 << 12)(spine_child_index) if spine_child_index else None
@@ -217,12 +222,19 @@ class TreeModel:
                     raise InvalidAddressError(f"child index {i} out of range "
                                               f"0..{len(indices) - 1} in {format_address(v)}")
             return
+        # down from (up; ) by type: an address memo would miss on every new
+        # prefix.  A type that is an address types its children from their
+        # addresses, so a spine vertex never lists its children here.
+        type_of, type_arity, child_types = self.type_of, self.type_arity, self.child_types
+        t = type_of(VertexAddress(up, ()))
         for d, i in enumerate(path):
-            a = self.arity(VertexAddress(up, path[:d]))
+            a = type_arity(t)
             if not 0 <= i < a:
                 raise InvalidAddressError(
                     f"child index {i} at step {d} exceeds arity {a} in {format_address(v)}"
                 )
+            t = (type_of(VertexAddress(up, path[:d + 1])) if type(t) is VertexAddress
+                 else child_types(t)[i])
 
 
 def canonicalize(addr, tree: TreeModel) -> VertexAddress:

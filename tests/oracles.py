@@ -10,7 +10,10 @@ vertex, with no vertex type read, and so do the right inverses S_n and the
 maps I_n, whose simplex minimiser weighs the fiber vertex by vertex.  The
 one exception is the Gamma-supercyclicity scan, which reads the library's
 displays but tests every k at every n: it is the reference for the order
-in which `supercyclicity_report` skips scales.
+in which `supercyclicity_report` skips scales.  Family verdicts and rung
+times are judged time by time, as sets: `family_verdict_by_scan` tests
+every time of the window and the full neighbourhood of each, and
+`rung_times_by_threshold` tests every floor entry against each threshold.
 """
 
 from __future__ import annotations
@@ -20,6 +23,16 @@ import weakref
 
 import treeshift as ts
 from treeshift.criteria import _j_parts, _j_term
+from treeshift.families import (
+    COFINITE,
+    GENERATED_FILTER,
+    INFINITE,
+    SYNDETIC,
+    THICK,
+    TILDE,
+    FamilySpec,
+    Verdict,
+)
 from treeshift.spaces import fiber_mass, to_float
 from treeshift.trees import ValidationReport, Violation
 
@@ -218,3 +231,115 @@ def validate_by_walk(tree, trunc) -> ValidationReport:
         elif tree.weight(v) == 0:
             violations.append(Violation("ZeroWeight", str(v), "weight must be nonzero"))
     return ValidationReport(ok=not violations, violations=violations, checked=checked)
+
+
+def rung_times_by_threshold(floor, ladder, spec, horizon: int) -> list:
+    """The times of each rung N, ascending: every n <= horizon where the
+    floor entry exceeds N's threshold, each entry tested against each
+    threshold; every n for the floor of an empty set (None)."""
+    if floor is None:
+        return [list(range(horizon + 1)) for _ in ladder]
+    return [sorted(n for n, m in enumerate(floor) if m > spec.dual.threshold(N))
+            for N in ladder]
+
+
+def _scan_runs(elements: list) -> list:
+    """Maximal runs of consecutive integers as (start, end) pairs."""
+    runs = []
+    for x in elements:
+        if runs and x == runs[-1][1] + 1:
+            runs[-1][1] = x
+        else:
+            runs.append([x, x])
+    return [(a, b) for a, b in runs]
+
+
+def family_verdict_by_scan(A, fam: FamilySpec, horizon: int) -> Verdict:
+    """`family_verdict` judged time by time on the set of A's times in
+    [0, horizon]: the syndetic gap by a scan of every time, the tilde core
+    by testing the whole neighbourhood of every time, a filter base by set
+    difference."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    elements = sorted(x for x in A if 0 <= x <= horizon)
+    occupied = set(elements)
+
+    if fam.kind == SYNDETIC:
+        g = fam.gap
+        if horizon < g:
+            return Verdict("inconclusive", horizon, bool(elements), {"reason": "window shorter than gap"})
+        longest_absent, cur, at = 0, 0, None
+        start = None
+        for t in range(horizon + 1):
+            if t in occupied:
+                cur, start = 0, None
+            else:
+                if start is None:
+                    start = t
+                cur += 1
+                if cur > longest_absent:
+                    longest_absent, at = cur, start
+        if longest_absent <= g:
+            return Verdict("holds", horizon, True,
+                           {"max_gap": longest_absent + 1, "max_absent_run": longest_absent})
+        return Verdict("fails", horizon, False, {"missing_window": (at, at + longest_absent - 1)})
+
+    if fam.kind == THICK:
+        runs = _scan_runs(elements)
+        best = max(runs, key=lambda r: r[1] - r[0], default=None)
+        need = fam.length
+        for a, b in runs:
+            if b - a + 1 >= need:
+                return Verdict("holds", horizon, True, {"interval": (a, a + need - 1)})
+        longest = 0 if best is None else best[1] - best[0] + 1
+        return Verdict("fails", horizon, False, {"longest_run": longest})
+
+    if fam.kind == COFINITE:
+        if elements and elements[-1] == horizon:
+            return Verdict("inconclusive", horizon, True,
+                           {"tail_start": _scan_runs(elements)[-1][0]})
+        last = elements[-1] if elements else None
+        return Verdict("fails", horizon, False,
+                       {"terminal_gap": (last + 1 if last is not None else 0, horizon)})
+
+    if fam.kind == INFINITE:
+        window_len = max(1, (horizon + 1) // 4)
+        window_start = horizon + 1 - window_len
+        in_tail = [x for x in elements if x >= window_start]
+        stats = {
+            "count": len(elements),
+            "density": len(elements) / (horizon + 1),
+            "last": elements[-1] if elements else None,
+            "tail_window": (window_start, horizon),
+        }
+        if not in_tail:
+            return Verdict("fails", horizon, False, stats)
+        return Verdict("inconclusive", horizon, True, stats)
+
+    if fam.kind == TILDE:
+        N = fam.shift
+        effective = horizon - N
+        if effective < 0:
+            return Verdict("inconclusive", horizon, False, {"reason": "horizon below N"})
+        core = {
+            t
+            for t in range(effective + 1)
+            if all(m in occupied for m in range(max(0, t - N), t + N + 1))
+        }
+        inner = family_verdict_by_scan(core, fam.inner, effective)
+        witness = dict(inner.witness)
+        witness.update({"core_size": len(core), "effective_horizon": effective})
+        return Verdict(inner.status, horizon, inner.positive_evidence, witness)
+
+    if fam.kind == GENERATED_FILTER:
+        best_label, best_missing = None, None
+        for label, base in fam.bases:
+            missing = len(base - occupied)
+            if missing == 0:
+                return Verdict("holds", horizon, True, {"base": label})
+            if best_missing is None or missing < best_missing:
+                best_label, best_missing = label, missing
+        return Verdict("inconclusive", horizon, False,
+                       {"closest_base": best_label, "missing": best_missing})
+
+    raise ValueError(f"unknown family kind {fam.kind!r}")

@@ -202,24 +202,26 @@ def _count_calls(monkeypatch, owner, *names) -> Counter:
 
 
 def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
-    """The report reads each sampled vertex's q row once, 7,007 fiber-mass
-    reads counting memo hits, and masses each distinct fiber level once:
-    1001 levels below the root and 1003 along each chain.  The CSV writes the
-    rows the report read and reads no mass again, and labels each of its 7
-    vertices once (7,007 labels when every row was labelled)."""
+    """The report reads one q row per vertex type, and a chain vertex the row
+    of its parent from n = 1: 3,007 fiber-mass reads, counting memo hits
+    (7,007 when each of the 7 sampled vertices swept its own row), one per
+    distinct fiber level: 1001 levels below the root and 1003 along each
+    chain.  The CSV writes the rows the report read and reads no mass again,
+    and labels each of its 7 vertices once (7,007 labels when every row was
+    labelled)."""
     reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
     masses = _count_calls(monkeypatch, DualExponent, "mass")
     labels = _count_calls(monkeypatch, criteria, "format_address")
     args = ["criteria", "--preset", "example_4_1", "--horizon", "1000"]
     assert main(args) == 0
-    assert (reads.total(), masses.total()) == (7007, 3007)
+    assert (reads.total(), masses.total()) == (3007, 3007)
     text_labels = labels.copy()
     reads.clear()
     masses.clear()
     labels.clear()
     csv_path = tmp_path / "q.csv"
     assert main(args + ["--csv", str(csv_path)]) == 0
-    assert (reads.total(), masses.total()) == (7007, 3007)
+    assert (reads.total(), masses.total()) == (3007, 3007)
     with open(csv_path, newline="") as fp:
         csv_vertices = {row[0] for row in list(csv.reader(fp))[2:]}
     assert len(csv_vertices) == 7
@@ -228,7 +230,10 @@ def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
 
 def test_limit_point_csv_reads_only_rows_the_report_did_not(tmp_path, monkeypatch, capsys):
     """The report stops at the diverging root; the CSV reads each other
-    sampled vertex's row once and none twice."""
+    sampled vertex's row once and none twice.  A chain vertex below the
+    first of its chain reads its parent's row and one level more: with the
+    report's root, 3 x 1001 + 4 x 1 reads (7 x 1001 when every vertex swept
+    its own row)."""
     rows = _count_calls(monkeypatch, criteria, "_q_row")
     reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
     args = ["limit-point", "--preset", "example_4_1", "--horizon", "1000"]
@@ -237,7 +242,7 @@ def test_limit_point_csv_reads_only_rows_the_report_did_not(tmp_path, monkeypatc
     rows.clear()
     reads.clear()
     assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
-    assert (rows.total(), len(rows), reads.total()) == (7, 7, 7007)
+    assert (rows.total(), len(rows), reads.total()) == (7, 7, 3007)
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,6 +309,18 @@ def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):
 
 
 _CUSTOM = "[tree]\nkind = rooted\n[arity]\n"
+
+
+def test_exact_power_past_the_budget_exits_2(capsys):
+    """A large exact norm exponent stops with a typed error naming the size
+    before raising any term to it; within the budget the output stands."""
+    argv = "orbit --preset example_7_2 --exact --vector-preset example_7_2_f --steps 1 --space"
+    assert main(argv.split() + ["100000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: an exact power |x|^100000 would have about 12900000 bits, "
+        "past the budget of 1048576 bits\n")
+    assert main(argv.split() + ["1000"]) == 0
+    assert "n=1: ||B^n f|| = 0.500346693731" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, kind, text", [

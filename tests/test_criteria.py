@@ -14,8 +14,8 @@ from treeshift import criteria
 from treeshift.presets import chain_vertex
 from treeshift.treespec import parse_tree_spec
 
-from conftest import SPACES, spec_documents
-from oracles import supercyclic_scan_linear
+from conftest import SPACES, outcome, spec_documents
+from oracles import rung_times_by_threshold, supercyclic_scan_linear
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
@@ -130,24 +130,54 @@ _SCALARS = st.one_of(
 
 
 @given(
-    floor=st.one_of(st.none(), st.lists(_SCALARS, min_size=1, max_size=40)),
-    ladder=st.lists(st.one_of(_SCALARS, st.just(math.nan)), max_size=10),
+    floor=st.one_of(st.none(), st.lists(_SCALARS, min_size=1, max_size=40),
+                    st.lists(st.fractions(-3, 80, max_denominator=4), min_size=1, max_size=40)),
+    ladder=st.one_of(st.lists(st.integers(-3, 8), max_size=10),
+                     st.lists(st.one_of(_SCALARS, st.just(math.nan)), max_size=10)),
     spec=st.sampled_from(SPACES),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_rung_times_equal_per_rung_thresholds(floor, ladder, spec):
-    """One bisection pass gives every rung the time set of its own threshold
-    test, for unsorted ladders with repeated (or NaN) rungs and floors mixing
-    ints, Fractions, floats and inf; the floor of an empty set is None."""
+    """One rank per floor entry gives every rung exactly the ascending times
+    of its own threshold test, for unsorted ladders with repeated (or NaN)
+    rungs, all-int ladders (where a Fraction entry is ranked by its
+    ceiling) and floors mixing ints, Fractions, floats and inf; the floor of
+    an empty set is None."""
     horizon = 12 if floor is None else len(floor) - 1
-    want = [
-        set(range(horizon + 1)) if floor is None
-        else {n for n, m in enumerate(floor) if m > spec.dual.threshold(N)}
-        for N in ladder
-    ]
+    want = rung_times_by_threshold(floor, ladder, spec, horizon)
     got = criteria._rung_times(floor, ladder, spec, horizon)
     assert got == want
-    assert len({id(times) for times in got}) == len(got)  # no set is shared
+    assert len({id(times) for times in got}) == len(got)  # no list is shared
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_furstenberg_monotonicity_on_generated_trees(data):
+    """A larger family accepts what a smaller one accepts, on the same time
+    sets: syndetic:g is inside syndetic:g' for g <= g', and thick:L inside
+    thick:L' for L' <= L.  The horizon is at least g', so every syndetic
+    verdict is decided, and thick verdicts always are.  Checked on every
+    rung of every sample set and on the report, on generated documents."""
+    tree = parse_tree_spec(data.draw(spec_documents())).source
+    spec = data.draw(st.sampled_from(SPACES))
+    horizon = 12
+    g = data.draw(st.integers(1, 6))
+    length = data.draw(st.integers(1, 6))
+    shorter = data.draw(st.one_of(st.just(1), st.integers(1, length)))
+    pairs = [(ts.syndetic_family(g), ts.syndetic_family(data.draw(st.integers(g, horizon)))),
+             (ts.thick_family(length), ts.thick_family(shorter))]
+    for narrow, wide in pairs:
+        small, large = (outcome(lambda: ts.dynamics_report(
+            tree, spec, fam, horizon=horizon, ladder=(1, 2, 4, 8), sample_depth=2))
+            for fam in (narrow, wide))
+        if isinstance(small, type):  # a spine vertex breaks the spine rule
+            assert large is small
+            continue
+        assert large.satisfied or not small.satisfied
+        for entry, wider in zip(small.entries, large.entries, strict=True):
+            for rung, wide_rung in zip(entry.rungs, wider.rungs, strict=True):
+                assert rung.times == wide_rung.times
+                assert wide_rung.verdict.acceptable or not rung.verdict.acceptable
 
 
 def test_dynamics_report_full_binary_satisfied(binary):

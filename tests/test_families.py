@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift.families import family_verdict
 
+from oracles import family_verdict_by_scan
+
 
 def test_syndetic_evens_holds():
     A = set(range(0, 101, 2))
@@ -141,3 +143,43 @@ def test_window_scan_agreement_large_random():
         assert (
             family_verdict(A, ts.thick_family(L), horizon).status == "holds"
         ) == _brute_thick(A, L, horizon)
+
+
+# run-based judging against the time-by-time oracle
+
+_HORIZON = st.integers(0, 60)
+_TIMES = st.integers(-5, 70)  # times outside [0, horizon] too
+
+
+@st.composite
+def _time_sets(draw) -> set:
+    """Scattered times, unions of intervals (long runs), or both."""
+    times = draw(st.sets(_TIMES, max_size=40))
+    starts = st.one_of(st.just(0), st.integers(-5, 2), _TIMES)  # runs from 0 are shrunk apart
+    for start, length in draw(st.lists(st.tuples(starts, st.integers(0, 30)), max_size=4)):
+        times.update(range(start, start + length))
+    return times
+
+
+_BASE_FAMILIES = st.one_of(
+    st.just(ts.infinite_family()),
+    st.just(ts.cofinite_family()),
+    st.integers(1, 8).map(ts.syndetic_family),
+    st.integers(1, 8).map(ts.thick_family),
+    st.lists(st.tuples(st.text("ab", max_size=2), st.frozensets(_TIMES, max_size=6)),
+             max_size=3).map(ts.generated_filter),
+)
+_TILDE = st.builds(ts.tilde_family, _BASE_FAMILIES, st.integers(0, 5))
+_FAMILIES = st.one_of(_BASE_FAMILIES, _TILDE, st.builds(ts.tilde_family, _TILDE, st.integers(0, 3)))
+
+
+@given(_time_sets(), _FAMILIES, _HORIZON)
+@settings(max_examples=600, deadline=None)
+def test_run_verdicts_equal_the_time_by_time_scan(A, fam, horizon):
+    """Judged from the sorted runs of A, every verdict equals the oracle's
+    in status, positive evidence and witness, for every family, nested tilde
+    families and generated filters included, whether A is a set or a
+    sorted list."""
+    want = family_verdict_by_scan(A, fam, horizon)
+    assert family_verdict(A, fam, horizon) == want
+    assert family_verdict(sorted(A), fam, horizon) == want

@@ -424,3 +424,25 @@ def test_cancelled_float_sums_are_reinserted_last(binary):
                                                               VA(0, (1,)): 0.1})
     assert list(h.items()) == [(VA(0, (1,)), -0.1)]
 
+
+
+def test_exact_powers_past_the_size_budget_raise():
+    """An exact |x|^r whose size r * bit_length(x) passes MAX_POWER_BITS
+    raises WorkBudgetError before it is computed, in `power`, in a fiber
+    `mass` and in a norm's `weighted_mass`; the bound per base is worked out
+    once per exponent.  Powers within the budget, floats and r = 1 are
+    untouched."""
+    from treeshift.spaces import MAX_POWER_BITS, DualExponent
+
+    big = DualExponent(100000)
+    assert big._max_bits == MAX_POWER_BITS // 100000
+    tiny = Fraction(1, 2 ** 128)
+    for attempt in (lambda: big.power(tiny), lambda: big.threshold(2 ** 20),
+                    lambda: big.mass([(Fraction(1, 2), 1), (tiny, 3)]),
+                    lambda: big.weighted_mass([1, -1], [Fraction(1, 2), tiny])):
+        with pytest.raises(ts.WorkBudgetError, match=r"\|x\|\^100000 would have about \d+ bits"):
+            attempt()
+    assert big.power(Fraction(1, 2)) == Fraction(1, 2 ** 100000)
+    assert big.power(0.5) == 0.0
+    assert DualExponent(1).weighted_mass([2 ** MAX_POWER_BITS], [1]) == 2 ** MAX_POWER_BITS
+    assert DualExponent(2).mass([(tiny, 1)]) == 2 ** 256

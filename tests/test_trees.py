@@ -70,6 +70,38 @@ def test_uniform_arity_check_messages(name, ua):
         assert str(exc.value) == f"child index {bad} out of range 0..{ua - 1} in (0; {shown})"
 
 
+def test_check_steps_down_by_type_without_the_address_memo():
+    """Off the one-arity shortcut, `check` steps down through the child types
+    of (up; ): it reads no address memo (which missed on every new prefix),
+    and the type rules once per type: the arity and the child types of the
+    depths 0..15 for paths up to 16 long.  Messages are unchanged,
+    and a spine vertex whose arity leaves out its spine child still passes."""
+    tree = parse_tree_spec("[tree]\nkind = rooted\n[arity]\nby_level = 2\n"
+                           "[weights]\ncoef = 1\nratio = 1/2\n").source
+    rng = random.Random(7)
+    vector = ts.SparseVector({VA(0, tuple(rng.randrange(2) for _ in range(rng.randint(10, 16)))): 1
+                              for _ in range(3000)})
+    ts.norm(vector, ts.SpaceSpec.ell(2), tree)
+    assert tree.arity.cache_info().hits + tree.arity.cache_info().misses == 0
+    assert tree.type_arity.cache_info().misses == tree.child_types.cache_info().misses == 16
+    for path, message in [((2,), "child index 2 at step 0 exceeds arity 2"),
+                          ((0, 1, -1), "child index -1 at step 2 exceeds arity 2")]:
+        with pytest.raises(ts.InvalidAddressError) as exc:
+            tree.check(VA(0, path))
+        assert str(exc.value) == f"{message} in {ts.format_address(VA(0, path))}"
+    kids = {"root": ("full", "leaf"), "full": ("full", "full"), "leaf": ()}
+    shaped = ts.TreeModel(ts.ROOTED, arity=lambda t: len(kids[t]), weight=lambda t: 1,
+                          types=ts.VertexTypes(lambda v: "root", lambda t, i: kids[t][i]))
+    assert shaped.check(VA(0, (0, 1, 0))) is None
+    with pytest.raises(ts.InvalidAddressError, match="child index 0 at step 1 exceeds arity 0"):
+        shaped.check(VA(0, (1, 0)))
+    spine = parse_tree_spec("[tree]\nkind = unrooted\n[arity]\ndefault = 2\n"
+                            "[weights]\ndefault = 1\n[spine]\nchild_index = 5\n").source
+    assert spine.check(VA(2, (0, 1))) is None
+    with pytest.raises(ts.InvalidAddressError, match="spine child index 5 out of range"):
+        ts.children(VA(2), spine)
+
+
 def test_children_examples(binary, ex72):
     assert ts.children(VA(0), binary) == [VA(0, (0,)), VA(0, (1,))]
     # o_0 has exactly the two chain heads u_1, v_1

@@ -461,3 +461,27 @@ def test_typed_certificates_equal_the_materialised_kernel(data, exact):
             direct = _apply_B_pow(syn.vector, cert.n, tree) - e_root
             assert cert.residual == to_float(_norm(direct, spec, tree)), (cert.n, spec)
         assert repr(syn) == repr(build(plain)), spec
+
+
+def test_identity_typed_masses_are_keyed_by_vertex_and_depth():
+    """Where every vertex is its own type, a fiber mass is memoised under
+    (dual, v, n): a repeat read neither reads the level nor hashes a key as
+    long as the fiber, q rows and j parts share those entries, and typed
+    trees keep the level key."""
+    spec = SPACES[1]
+    tree = ts.full_binary().with_weight(lambda v: 1)
+    first = ts.fiber_mass(tree, VA(0), 10, spec)
+    assert first == (2 ** 10, 2 ** 10)
+    assert set(tree.fiber_masses) == {(spec.dual, VA(0), 10)}
+    tree.levels.clear()
+    assert ts.fiber_mass(tree, VA(0), 10, spec) is first
+    assert not tree.levels  # the repeat read did not read the level
+    row = criteria._q_row(VA(0, (1,)), tree, spec, 4)
+    assert row == [2 ** n for n in range(5)]
+    assert (spec.dual, VA(0, (1,)), 4) in tree.fiber_masses
+    chain = ts.bi_infinite_path().with_weight(lambda v: 2)
+    parts = criteria._j_parts(VA(0), 3, chain, spec)
+    assert parts == (2, Fraction(1, 4)) and (spec.dual, VA(3), 3) in chain.fiber_masses
+    typed = ts.full_binary()
+    ts.fiber_mass(typed, VA(0), 3, spec)
+    assert set(typed.fiber_masses) == {(spec.dual, ((0, 8),))}
