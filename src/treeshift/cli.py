@@ -40,6 +40,7 @@ import functools
 import sys
 import traceback
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Union
 
 from . import criteria as crit
@@ -67,8 +68,6 @@ from .treespec import TreeSpecDocument, load_tree_spec, resolve_model, validate_
 
 
 def _fmt(x) -> str:
-    if type(x) is float:  # most CSV cells: skip the isinstance chain
-        return f"{x:.12g}"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):
@@ -76,6 +75,18 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     return f"{to_float(x):.12g}"
+
+
+def _column(cells: tuple) -> Iterable[str]:
+    """`_fmt` of each of ``cells``: one C-level pass for a column of floats
+    alone, ints alone or strs alone, `_fmt` per cell for any other."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return map(format, cells, repeat(".12g"))
+    return map(str, cells) if kinds == {int} else cells if kinds == {str} else map(_fmt, cells)
+
+
+_BLOCK = 1024  # rows formatted at a time: one pass per column, memory flat
 
 
 def _load_document(args: argparse.Namespace) -> TreeSpecDocument:
@@ -107,15 +118,18 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def _write_csv(args: argparse.Namespace, header: tuple[str, ...],
                rows: Callable[[], Iterable]) -> None:
     """Write the rows ``rows()`` returns to the --csv path; without --csv
-    they are never built."""
+    they are never built.  Each block of `_BLOCK` rows is transposed,
+    formatted by column (`_column`) and written by one ``writerows``: the
+    bytes of `_fmt` on every cell, as every row has the header's length."""
     if not args.csv:
         return
     with open(args.csv, "w", encoding="utf-8", newline="") as fp:
         fp.write(f"# treeshift {args.command}; seed={args.seed}\n")
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
-        for row in rows():
-            writer.writerow([_fmt(x) for x in row])
+        it = iter(rows())
+        while block := list(islice(it, _BLOCK)):
+            writer.writerows(zip(*map(_column, zip(*block))))
 
 
 def _parse_family(text: str) -> FamilySpec:

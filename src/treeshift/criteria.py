@@ -27,10 +27,11 @@ them again.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import accumulate, compress, repeat
+from operator import attrgetter, floordiv, gt, itemgetter, neg, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import field, record
@@ -42,6 +43,7 @@ from .trees import (
     TreeModel,
     Truncation,
     VertexAddress,
+    _check_climbs,
     _p_n,
     _remember,
     _spine_fiber,
@@ -52,6 +54,7 @@ from .trees import (
 )
 
 LADDER_MAX = 2 ** 12
+_NUM, _DEN = attrgetter("numerator"), attrgetter("denominator")
 DEFAULT_LADDER = tuple(2 ** k for k in range(13))
 
 
@@ -90,6 +93,18 @@ def _j_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> 
 def _value(mass, spec: SpaceSpec) -> float:
     """The q or j value a mass stands for: its p*-th root, as a float."""
     return to_float(spec.dual.root(mass))
+
+
+def _values(row: Sequence, spec: SpaceSpec) -> list[float]:
+    """`_value` of each mass of ``row`` by one float pass (numerator /
+    denominator, which is ``float``, for ints and Fractions) and one ``pow``
+    pass; a mass past float range sends the row to `_value`, which clamps it."""
+    try:
+        floats = (map(truediv, map(_NUM, row), map(_DEN, row))
+                  if set(map(type, row)) <= {int, Fraction} else map(float, row))
+        return list(floats if spec.dual.plain else map(pow, floats, repeat(spec.dual._inverse)))
+    except OverflowError:
+        return [_value(m, spec) for m in row]
 
 
 def q_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
@@ -131,13 +146,14 @@ def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> 
 
 def _chain_row(v: VertexAddress, tree: TreeModel, dual) -> Optional[tuple]:
     """``(row, last level)`` of v's type from the kept row of the nearest
-    ancestor a = p^k(v) on v's path, where a and the vertices below it down
-    to p(v) have one child each: that row from n = k on.  None if no such
+    ancestor a = p^k(v) on v's path, or the spine vertex (up + 1; ) just
+    above it on an unrooted tree, where a and the vertices below it down to
+    p(v) have one child each: that row from n = k on.  None if no such
     ancestor has a row longer than k."""
     up, path = v
-    for k in range(1, len(path) + 1):
-        a = tree.type_of(tuple.__new__(VertexAddress, (up, path[:-k])))
-        if tree.type_arity(a) != 1:
+    for k in range(1, len(path) + 1 + (not tree.rooted)):
+        a = tree.type_of(_p_n(v, k, tree))
+        if tree.type_arity(a) != 1 or (k > len(path) and tree.spine_child_index(up) != 0):
             return None
         entry = tree.q_rows.get((dual, a))
         if entry is not None and len(entry[0]) > k:
@@ -147,8 +163,12 @@ def _chain_row(v: VertexAddress, tree: TreeModel, dual) -> Optional[tuple]:
 
 def _floor(rows: Sequence[list]) -> Optional[list]:
     """Elementwise min of mass rows: its n-th entry exceeds a threshold iff
-    every row's does.  None, which no threshold constrains, for no rows."""
-    return [min(col) for col in zip(*rows)] if rows else None
+    every row's does.  None, which no threshold constrains, for no rows; a
+    copy of the row for one row, so that no floor is a kept row; else one
+    C-level ``min`` per column over the rows side by side."""
+    if len(rows) < 2:
+        return list(rows[0]) if rows else None
+    return list(map(min, *rows))
 
 
 def _rung_times(floor: Optional[list], ladder: Sequence, spec: SpaceSpec,
@@ -157,17 +177,18 @@ def _rung_times(floor: Optional[list], ladder: Sequence, spec: SpaceSpec,
     ascending: the n <= horizon where the floor exceeds N (every such n for
     the floor of an empty set).  Each floor entry is ranked once, by
     bisection among the distinct thresholds, sorted: its rank is the number
-    of thresholds it exceeds.  When every threshold is an int, an exact
-    Fraction entry m is ranked by its ceiling, an int, since m > N iff
-    ceil(m) > N.  A rung's times are the n ranked above its threshold's
-    index, picked in order.  A NaN threshold, which nothing exceeds, is
-    left out of the sort."""
+    of thresholds it exceeds.  When every threshold is an int and every
+    entry an int or a Fraction, an entry m is ranked by its ceiling, an int
+    worked out in one C-level pass, since m > N iff ceil(m) > N.  A rung's
+    times are the n ranked above its threshold's index, picked in order.  A
+    NaN threshold, which nothing exceeds, is left out of the sort."""
     thresholds = [spec.dual.threshold(N) for N in ladder]
     if floor is None:
         return [list(range(horizon + 1)) for _ in thresholds]
     ranks = sorted({t for t in thresholds if t == t})
-    if Fraction in set(map(type, floor)) and all(type(t) is int for t in ranks):
-        floor = [-(-m.numerator // m.denominator) if type(m) is Fraction else m for m in floor]
+    kinds = set(map(type, floor))
+    if Fraction in kinds and kinds <= {int, Fraction} and all(type(t) is int for t in ranks):
+        floor = list(map(neg, map(floordiv, map(neg, map(_NUM, floor)), map(_DEN, floor))))
     placed = list(map(partial(bisect_left, ranks), floor))
     index = {t: i for i, t in enumerate(ranks)}
     times = list(range(len(placed)))  # one int object per time, shared by the rungs
@@ -198,8 +219,12 @@ def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
 
 def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: int):
     """Each vertex's q-mass row and, on unrooted trees, its j-mass row (None
-    on rooted ones): every value a report thresholds, read once."""
-    q_rows = {v: _q_row(v, tree, spec, horizon) for v in vertices}
+    on rooted ones): every value a report thresholds, read once.  The q rows
+    are read top-down, once the spine below them is checked bottom-up."""
+    _check_climbs([ANCHOR], max((v.up for v in vertices if not v.path), default=0), tree)
+    rows = {v: _q_row(v, tree, spec, horizon)
+            for v in sorted(vertices, key=attrgetter("signed_depth"))}
+    q_rows = {v: rows[v] for v in vertices}
     if tree.rooted:
         return q_rows, None
     return q_rows, {v: _j_row(v, tree, spec, horizon) for v in q_rows}
@@ -245,12 +270,11 @@ def _sample_vertices(sample: Optional[Iterable], tree: TreeModel) -> list[Vertex
 def _diverging_records(vals: Sequence[float]) -> list[int]:
     """Indices where the sequence attains a strictly new maximum, provided
     the last of them exceeds the ladder cap; [] otherwise."""
-    records, best = [], None
-    for n, x in enumerate(vals):
-        if best is None or x > best:
-            records.append(n)
-            best = x
-    return records if records and vals[records[-1]] > LADDER_MAX else []
+    if not vals:
+        return []
+    tops = accumulate(vals, max)  # the running maximum, before each next value
+    records = [0, *compress(range(1, len(vals)), map(gt, vals[1:], tops))]
+    return records if vals[records[-1]] > LADDER_MAX else []
 
 
 def _diverging_vertex(q_rows: Iterable[tuple], spec: SpaceSpec):
@@ -258,7 +282,7 @@ def _diverging_vertex(q_rows: Iterable[tuple], spec: SpaceSpec):
     pairs whose q values diverge; ``(None, [], [])`` if none does.  Records
     are taken on the floats, since distinct exact masses can round to one."""
     for v, masses in q_rows:
-        vals = [_value(m, spec) for m in masses]
+        vals = _values(masses, spec)
         records = _diverging_records(vals)
         if records:
             return v, vals, records
@@ -336,11 +360,8 @@ class DynamicsReport:
         the report thresholded."""
         rows, spec = [], self.spec
         for v, row in self.q_rows.items():
-            label = format_address(v)
-            j_row = None if self.j_rows is None else self.j_rows[v]
-            for n, m in enumerate(row):
-                j = "" if j_row is None else _value(j_row[n], spec)
-                rows.append((label, n, _value(m, spec), j))
+            j = repeat("") if self.j_rows is None else _values(self.j_rows[v], spec)
+            rows.extend(zip(repeat(format_address(v)), range(len(row)), _values(row, spec), j))
         return rows
 
 
@@ -517,6 +538,9 @@ def supercyclicity_report(
     (lo) and the smallest where the fiber display passed but the spine one
     failed (hi), and skips a k with s <= lo or s >= hi without evaluating
     either display: it finds the same (n, k) as testing every k in order.
+    A skip is one bisection among the scales read, sorted by s, to the first
+    k read with lo < s < hi (no k before it is: (lo, hi) only shrinks), or
+    else to the first k not read.
     The spine display is evaluated only where the fiber display passes at
     every sampled vertex.
 
@@ -570,18 +594,21 @@ def supercyclicity_report(
     achieved = []
     rungs = ((R, dual.threshold(R)) for R in ladder)
     R, R_pow = next(rungs, (None, None))
-    scales = []  # (lambda_k, |lambda_k|^p*, |lambda_k|) for k < len(scales)
+    scales, index = [], []  # (lambda_k, |lambda_k|^p*, |lambda_k|), and (|lambda_k|, k) sorted
     for n in range(1, horizon + 1):
         if R is None:
             break
         spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
         fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
-        lo, hi = 0, math.inf  # the fiber display fails for |lambda| <= lo, the spine one for >= hi
-        for k in range(horizon + 1):
+        lo, hi, k = 0, math.inf, 0  # the fiber display fails at |lambda| <= lo, the spine at >= hi
+        while k <= horizon:
             if k == len(scales):
                 scales.append(_scale(gamma, k, dual, spine, fibers))
+                insort(index, (scales[k][2], k))
             lam, lam_pow, s = scales[k]
-            if not lo < s < hi:
+            if not lo < s < hi:  # on to the first k read with lo < s < hi, else the first unread
+                found = index[bisect_right(index, (lo, math.inf)):bisect_left(index, (hi, -1))]
+                k = min(map(itemgetter(1), found), default=len(scales))
                 continue
             if not all(lam_pow * fiber > R_pow for fiber in fibers):
                 lo = s
@@ -591,6 +618,7 @@ def supercyclicity_report(
                 achieved.append((R, n, k, lam))
                 R, R_pow = next(rungs, (None, None))
                 break
+            k += 1
     failed_rung = R
 
     return SupercyclicityReport(
@@ -661,11 +689,8 @@ class LimitPointReport:
         did not read are read here."""
         rows = []
         for v in self.sample:
-            row = self.q_rows.get(v)
-            if row is None:
-                row = _q_row(v, self.tree, self.spec, self.horizon)
-            label = format_address(v)
-            rows.extend((label, n, _value(m, self.spec)) for n, m in enumerate(row))
+            row = self.q_rows.get(v) or _q_row(v, self.tree, self.spec, self.horizon)
+            rows.extend(zip(repeat(format_address(v)), range(len(row)), _values(row, self.spec)))
         return rows
 
 
@@ -698,8 +723,7 @@ def limit_point_report(
     if tree.rooted:
         if ANCHOR not in q_rows:
             q_rows[ANCHOR] = _q_row(ANCHOR, tree, spec, horizon)
-        root_vals = [_value(m, spec) for m in q_rows[ANCHOR]]
-        root_div = bool(_diverging_records(root_vals))
+        root_div = bool(_diverging_records(_values(q_rows[ANCHOR], spec)))
         if found is not None:
             status = "holds"
             shifted = {
@@ -714,14 +738,8 @@ def limit_point_report(
                 to_float(abs(tree.weight(_p_n(found, nk - n_i, tree))))
                 for nk in usable[i:]
             ]
-            tail = values[len(values) // 2:]
-            obs = DecayObservation(
-                i=i,
-                last=values[-1],
-                tail_min=min(tail),
-                decayed=min(tail) <= DECAY_EPS,
-            )
-            decay.append(obs)
+            tail_min = min(values[len(values) // 2:])
+            decay.append(DecayObservation(i, values[-1], tail_min, tail_min <= DECAY_EPS))
         if decay and all(o.decayed for o in decay):
             status = "holds"
     return LimitPointReport(

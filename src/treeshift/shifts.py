@@ -70,7 +70,7 @@ def _apply_B_pow(f: SparseVector, n: int, tree: TreeModel) -> SparseVector:
     to zero is dropped on the spot.  Targets are looked up as plain
     ``(up, path)`` tuples; a `VertexAddress` is built only when one is stored."""
     if n == 0:
-        return _vector(dict(f.items()), tree.token)
+        return _vector(f._entries.copy(), tree.token)
     rooted = tree.rooted
     acc: dict[VertexAddress, object] = {}
     get = acc.get
@@ -154,7 +154,7 @@ def orbit(f: SparseVector, n_max: int, tree: TreeModel, spec: SpaceSpec) -> list
     first zero iterate (rooted orbits of finite vectors die in finite time)."""
     _check_support(f, tree)
     out = []
-    cur = _vector(dict(f.items()), tree.token)
+    cur = _vector(f._entries.copy(), tree.token)
     for n in range(n_max + 1):
         out.append(OrbitPoint(n, cur, to_float(_norm(cur, spec, tree))))
         if not cur:

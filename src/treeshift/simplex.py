@@ -350,7 +350,7 @@ def build_recurrent_vector(
 
     merged: dict[VertexAddress, object] = {}
     for t in retained:
-        merged.update(t.g.items())
+        merged.update(t.g._entries)
     f = _vector(merged, tree.token)
 
     if None in described:

@@ -177,12 +177,20 @@ class DualExponent:
         With the default ``div``, r = 1 or an integer r, int or Fraction
         weights and int counts, the terms are added by `_rational_sum`: a
         Fraction (0 for no pairs) equal to the ``sum`` of the ``safe_div``
-        terms.  Any other mass is that ``sum``, left to right, bit for bit."""
+        terms.  Any other mass is that ``sum``, left to right, bit for bit;
+        with the default ``div``, one pair's mass is its one term (0 + x = x)."""
         if self.is_max:
             return min(abs(w) for w, _ in pairs)
-        if div is safe_div and self._exact:
+        if div is safe_div:
             pairs = list(pairs)  # read twice: the type check, then the sum
-            if all(type(w) in _RATIONAL and type(count) is int for w, count in pairs):
+            if len(pairs) == 1:
+                (w, count), = pairs
+                if not (self._exact and type(w) in _RATIONAL and type(count) is int):
+                    return safe_div(count, self.power(w))
+                num, den, e = abs(w.numerator), w.denominator, self._exponent
+                self._budget((num, den))
+                return Fraction(count * den ** e, num ** e)
+            if self._exact and all(type(w) in _RATIONAL and type(c) is int for w, c in pairs):
                 e = repeat(self._exponent)
                 nums = [abs(w.numerator) for w, _ in pairs]
                 dens = [w.denominator for w, _ in pairs]

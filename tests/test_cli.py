@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import argparse
 import csv
 import math
 import re
@@ -8,8 +9,9 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeshift as ts
@@ -17,6 +19,8 @@ from treeshift import cli, criteria, treespec
 from treeshift.cli import main
 from treeshift.shifts import return_set_report
 from treeshift.spaces import DualExponent, to_float
+
+from oracles import write_csv_by_cell
 
 
 def run_cli(*argv, capsys=None):
@@ -258,6 +262,52 @@ def test_supercyclic_scan_skips_ruled_out_scales(monkeypatch, capsys, argv):
     assert 0 < calls.total() <= 2 * 60
 
 
+class _ComparedScale(int):
+    """|lambda_k| as an int that counts the order comparisons made on it."""
+
+    compared = 0
+
+    def __lt__(self, other):
+        _ComparedScale.compared += 1
+        return int.__lt__(self, other)
+
+    def __gt__(self, other):
+        _ComparedScale.compared += 1
+        return int.__gt__(self, other)
+
+
+def test_supercyclic_scan_compares_scales_o_h_log_h_times(monkeypatch, capsys):
+    """A skipped k costs one bisection among the scales read, not a test of
+    every later k: the bi_infinite_path scan at horizon 1100 compares
+    |lambda_k| 56,496 times (2,420,002 when it tested k = 0..H at every n,
+    about 1.2 M skip tests), within 6 H log2 H; the CLI output is that of
+    the linear scan (`test_supercyclic_scan_matches_the_linear_scan`)."""
+    scale = criteria._scale
+
+    def counted(*args):
+        lam, lam_pow, s = scale(*args)
+        return lam, lam_pow, _ComparedScale(s)
+
+    monkeypatch.setattr(criteria, "_scale", counted)
+    monkeypatch.setattr(_ComparedScale, "compared", 0)
+    horizon = 1100
+    argv = f"supercyclic --preset bi_infinite_path --space c0 --gamma powers:2 --horizon {horizon}"
+    assert main(argv.split()) == 0
+    assert "threshold 1: n=1, lambda_1=2" in capsys.readouterr().out
+    assert 0 < _ComparedScale.compared <= 6 * horizon * math.log2(horizon)
+
+
+def test_spine_rows_are_read_top_down(monkeypatch, capsys):
+    """The sampled spine vertices (3; ) down to (0; ) read their q rows top
+    down: (3; ) sweeps 101 levels, and each one below reads the row above
+    it from offset 1 and one level more, 814 fiber-mass reads in all
+    (1,114 when each of the four swept its own 101 levels)."""
+    reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
+    argv = "criteria --preset bi_infinite_path --family thick:3 --horizon 100"
+    assert main(argv.split()) == 0
+    assert reads.total() == 814
+
+
 @pytest.mark.parametrize("gamma, k", [("const:1e400", 0), ("powers:1e300 --space 3", 1)])
 def test_gamma_beyond_float_range_is_a_usage_error(capsys, gamma, k):
     """A lambda_k that float displays would carry past float range exits 2
@@ -292,6 +342,59 @@ def _fmt_chain(x) -> str:
 ))
 def test_csv_formatter_matches_the_isinstance_chain(x):
     assert cli._fmt(x) == _fmt_chain(x)
+
+
+_CELLS = {
+    "float": st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan])),
+    "int": st.integers(),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    "bool": st.booleans(),
+    "fraction": st.one_of(st.fractions(), st.just(Fraction(10) ** 400)),
+    "blank or float": st.one_of(st.just(""), st.floats()),
+    "numpy": st.one_of(st.floats(allow_nan=False).map(np.float64), st.integers(-9, 9).map(np.int64)),
+}
+_CELLS["any"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and rows with one kind of cell per column: a pattern of
+    rows repeated past one or two block boundaries, with some rows
+    replaced by rows of any cells (a column of one kind in one block and
+    mixed in the next)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    pattern = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)), min_size=1, max_size=5))
+    count = draw(st.sampled_from([0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+                                  2 * cli._BLOCK + 3]))
+    rows = [pattern[i % len(pattern)] for i in range(count)]
+    if rows:
+        for i in draw(st.lists(st.integers(0, count - 1), max_size=3)):
+            rows[i] = draw(st.tuples(*(_CELLS["any"] for _ in kinds)))
+    return tuple(f"c{i}" for i in range(len(kinds))), rows
+
+
+@given(_csv_tables())
+@settings(max_examples=150, deadline=None)
+def test_csv_columns_write_the_bytes_of_the_cell_by_cell_writer(tmp_path_factory, table):
+    """`_write_csv` formats blocks of rows by column and writes the bytes of
+    `_fmt` on every cell, one row at a time."""
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv")
+    args = argparse.Namespace(csv=str(path / "columns.csv"), command="criteria", seed=3)
+    cli._write_csv(args, header, lambda: rows)
+    write_csv_by_cell(path / "cells.csv", "criteria", 3, header, rows)
+    assert (path / "columns.csv").read_bytes() == (path / "cells.csv").read_bytes()
+
+
+def test_csv_columns_of_one_type_call_no_per_cell_formatter(tmp_path, monkeypatch, capsys):
+    """A CSV whose columns are all floats, ints or strs calls no per-cell
+    formatter; the criteria CSV of the closed-form example_4_1 command
+    calls none on its 7,007 rows."""
+    calls = _count_calls(monkeypatch, cli, "_fmt")
+    argv = ["criteria", "--preset", "example_4_1", "--horizon", "1000"]
+    assert main(argv + ["--csv", str(tmp_path / "q.csv")]) == 0
+    assert len((tmp_path / "q.csv").read_text().splitlines()) == 2 + 7 * 1001
+    assert calls.total() == 0
 
 
 def test_custom_binary_spec_criteria_at_default_horizon(tmp_path, capsys):

@@ -15,7 +15,7 @@ from treeshift.presets import chain_vertex
 from treeshift.treespec import parse_tree_spec
 
 from conftest import SPACES, outcome, spec_documents
-from oracles import rung_times_by_threshold, supercyclic_scan_linear
+from oracles import records_by_scan, rung_times_by_threshold, supercyclic_scan_linear
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
@@ -178,6 +178,62 @@ def test_furstenberg_monotonicity_on_generated_trees(data):
             for rung, wide_rung in zip(entry.rungs, wider.rungs, strict=True):
                 assert rung.times == wide_rung.times
                 assert wide_rung.verdict.acceptable or not rung.verdict.acceptable
+
+
+# Fraction(2 ** 53 + 3, 3) rounds differently when its numerator is rounded to a float first
+_RATIONAL_MASSES = st.one_of(
+    st.integers(0, 2 ** 2000), st.fractions(min_value=0),
+    st.builds(Fraction, st.integers(2 ** 53, 2 ** 80), st.integers(3, 2 ** 60)),
+    st.sampled_from([0, Fraction(2 ** 53 + 3, 3), Fraction(10) ** 400, Fraction(1, 10 ** 400)]))
+_MASSES = st.one_of(_RATIONAL_MASSES, st.floats(0, 1e308),
+                    st.sampled_from([0.0, math.inf, 5e-324]))
+
+
+def _float_bits(values: list) -> list:
+    return [(type(x), x.hex()) for x in values]
+
+
+@given(st.one_of(st.lists(_MASSES, max_size=12), st.lists(_RATIONAL_MASSES, max_size=12)),
+       st.sampled_from(["1", "2", "3", "4/3", "c0"]))
+@example([Fraction(2 ** 53 + 3, 3), 7], "c0")
+@settings(max_examples=300)
+def test_row_values_equal_the_value_of_each_mass(row, space):
+    """`_values` converts a whole row in one float pass and one pow pass; it
+    equals `_value` of each mass to the bit, for rows of floats, ints and
+    Fractions and rows of ints and Fractions alone, plain (l^1, c0) and
+    powered duals, and masses past float range, which `_value` clamps to
+    inf."""
+    spec = ts.SpaceSpec.parse(space)
+    assert _float_bits(criteria._values(row, spec)) == _float_bits(
+        [criteria._value(m, spec) for m in row])
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([4096.0, 4097.0, math.inf, math.nan])),
+                max_size=12))
+@settings(max_examples=300)
+def test_diverging_records_equal_the_value_by_value_scan(vals):
+    """The records of a row come from its running maximum in one C-level
+    pass; they are those of the scan value by value, NaN included."""
+    assert criteria._diverging_records(vals) == records_by_scan(vals)
+
+
+def test_floors_never_share_a_kept_row():
+    """The floor of one row is a copy of it and the floor of several a new
+    list: a report reads the tree's kept q rows and leaves them as they
+    were."""
+    tree = ts.example_4_1()
+    row = criteria._q_row(chain_vertex(1, 1), tree, L2, 30)
+    floor = criteria._floor([row])
+    assert floor == row and floor is not row
+    assert criteria._floor([row, row]) == row and criteria._floor([]) is None
+    kept = {key: list(entry[0]) for key, entry in tree.q_rows.items()}
+    report = ts.dynamics_report(tree, L2, horizon=30)
+    ts.I_sets([chain_vertex(1, 1)], [1, 2], tree, L2, 30)
+    ts.transitivity_filter_base(tree, L2, [[chain_vertex(1, 1)]], [1, 2], 30)
+    for key, entry in tree.q_rows.items():
+        assert entry[0][:len(kept.get(key, []))] == kept.get(key, [])
+    floors = [criteria._floors(e.vertices, report.q_rows, report.j_rows)[2] for e in report.entries]
+    assert all(f is not kept_row for f in floors for kept_row, _ in tree.q_rows.values())
 
 
 def test_dynamics_report_full_binary_satisfied(binary):

@@ -213,6 +213,32 @@ def test_fiber_mass_is_the_left_to_right_sum_of_its_terms(r, weights, data):
         assert (type(got), repr(got)) == (type(want), repr(want))
 
 
+_HUGE_WEIGHTS = st.sampled_from([Fraction(1, 2 ** 600000), Fraction(3 ** 400000, 7), 2 ** 600000,
+                                 1e300, 5e-324, -1e-300])
+
+
+@given(st.sampled_from([1, 2, 3, 4, Fraction(4, 3), Fraction(3, 2)]),
+       st.one_of(_EXACT_WEIGHTS, _FLOAT_WEIGHTS, _HUGE_WEIGHTS),
+       st.one_of(st.integers(0, 2 ** 64), st.sampled_from([Fraction(3, 2), 2.5, 2 ** 2000])))
+@settings(max_examples=300)
+def test_one_pair_mass_is_its_one_term(r, w, count):
+    """`mass` of one pair takes a path of its own: it equals the mass of the
+    general path, the left-to-right ``sum`` of the terms (taken with a
+    ``div`` that is not ``safe_div`` itself), in type and value, a float's
+    to the bit, and a power past the size budget raises WorkBudgetError on
+    both paths."""
+    dual = ts.DualExponent(r)
+
+    def outcome(div):
+        try:
+            m = dual.mass([(w, count)], div)
+        except (ArithmeticError, ts.WorkBudgetError) as exc:
+            return type(exc)
+        return type(m), m.hex() if type(m) is float else m
+
+    assert outcome(ts.spaces.safe_div) == outcome(lambda a, b: ts.spaces.safe_div(a, b))
+
+
 def test_equal_dual_exponents_share_a_memo_key():
     parsed, built = ts.SpaceSpec.parse("3").dual, ts.DualExponent(Fraction(3, 2))
     assert parsed == built and hash(parsed) == hash(built)
