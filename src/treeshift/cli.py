@@ -66,6 +66,8 @@ from .spaces import SpaceSpec, basis, load_vector, norm, to_float
 from .trees import ANCHOR, Truncation
 from .treespec import TreeSpecDocument, load_tree_spec, resolve_model, validate_document
 
+_BLOCK = 1024  # CSV rows formatted at a time: one pass per column, memory flat
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -84,9 +86,6 @@ def _column(cells: tuple) -> Iterable[str]:
     if kinds == {float}:
         return map(format, cells, repeat(".12g"))
     return map(str, cells) if kinds == {int} else cells if kinds == {str} else map(_fmt, cells)
-
-
-_BLOCK = 1024  # rows formatted at a time: one pass per column, memory flat
 
 
 def _load_document(args: argparse.Namespace) -> TreeSpecDocument:
@@ -117,10 +116,9 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _write_csv(args: argparse.Namespace, header: tuple[str, ...],
                rows: Callable[[], Iterable]) -> None:
-    """Write the rows ``rows()`` returns to the --csv path; without --csv
-    they are never built.  Each block of `_BLOCK` rows is transposed,
-    formatted by column (`_column`) and written by one ``writerows``: the
-    bytes of `_fmt` on every cell, as every row has the header's length."""
+    """Write the rows ``rows()`` returns, each of the header's length, to the
+    --csv path; without --csv they are never built.  Each block of `_BLOCK`
+    rows is formatted by column (`_column`) and written by one ``writerows``."""
     if not args.csv:
         return
     with open(args.csv, "w", encoding="utf-8", newline="") as fp:

@@ -30,8 +30,8 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, repeat
-from operator import attrgetter, floordiv, gt, itemgetter, neg, truediv
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import field, record
@@ -54,7 +54,6 @@ from .trees import (
 )
 
 LADDER_MAX = 2 ** 12
-_NUM, _DEN = attrgetter("numerator"), attrgetter("denominator")
 DEFAULT_LADDER = tuple(2 ** k for k in range(13))
 
 
@@ -96,12 +95,10 @@ def _value(mass, spec: SpaceSpec) -> float:
 
 
 def _values(row: Sequence, spec: SpaceSpec) -> list[float]:
-    """`_value` of each mass of ``row`` by one float pass (numerator /
-    denominator, which is ``float``, for ints and Fractions) and one ``pow``
+    """`_value` of each mass of ``row`` by one ``float`` pass and one ``pow``
     pass; a mass past float range sends the row to `_value`, which clamps it."""
     try:
-        floats = (map(truediv, map(_NUM, row), map(_DEN, row))
-                  if set(map(type, row)) <= {int, Fraction} else map(float, row))
+        floats = map(float, row)
         return list(floats if spec.dual.plain else map(pow, floats, repeat(spec.dual._inverse)))
     except OverflowError:
         return [_value(m, spec) for m in row]
@@ -146,10 +143,9 @@ def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> 
 
 def _chain_row(v: VertexAddress, tree: TreeModel, dual) -> Optional[tuple]:
     """``(row, last level)`` of v's type from the kept row of the nearest
-    ancestor a = p^k(v) on v's path, or the spine vertex (up + 1; ) just
-    above it on an unrooted tree, where a and the vertices below it down to
-    p(v) have one child each: that row from n = k on.  None if no such
-    ancestor has a row longer than k."""
+    a = p^k(v) on v's path, or one spine step above it, where a and the
+    vertices below it down to p(v) have one child each: that row from n = k
+    on.  None if no such a has a row longer than k."""
     up, path = v
     for k in range(1, len(path) + 1 + (not tree.rooted)):
         a = tree.type_of(_p_n(v, k, tree))
@@ -164,8 +160,7 @@ def _chain_row(v: VertexAddress, tree: TreeModel, dual) -> Optional[tuple]:
 def _floor(rows: Sequence[list]) -> Optional[list]:
     """Elementwise min of mass rows: its n-th entry exceeds a threshold iff
     every row's does.  None, which no threshold constrains, for no rows; a
-    copy of the row for one row, so that no floor is a kept row; else one
-    C-level ``min`` per column over the rows side by side."""
+    copy of one row, so that no floor is a kept row; one ``min`` per column."""
     if len(rows) < 2:
         return list(rows[0]) if rows else None
     return list(map(min, *rows))
@@ -177,18 +172,17 @@ def _rung_times(floor: Optional[list], ladder: Sequence, spec: SpaceSpec,
     ascending: the n <= horizon where the floor exceeds N (every such n for
     the floor of an empty set).  Each floor entry is ranked once, by
     bisection among the distinct thresholds, sorted: its rank is the number
-    of thresholds it exceeds.  When every threshold is an int and every
-    entry an int or a Fraction, an entry m is ranked by its ceiling, an int
-    worked out in one C-level pass, since m > N iff ceil(m) > N.  A rung's
-    times are the n ranked above its threshold's index, picked in order.  A
-    NaN threshold, which nothing exceeds, is left out of the sort."""
+    of thresholds it exceeds.  When every threshold is an int, an exact
+    Fraction entry m is ranked by its ceiling, an int, since m > N iff
+    ceil(m) > N.  A rung's times are the n ranked above its threshold's
+    index, picked in order.  A NaN threshold, which nothing exceeds, is
+    left out of the sort."""
     thresholds = [spec.dual.threshold(N) for N in ladder]
     if floor is None:
         return [list(range(horizon + 1)) for _ in thresholds]
     ranks = sorted({t for t in thresholds if t == t})
-    kinds = set(map(type, floor))
-    if Fraction in kinds and kinds <= {int, Fraction} and all(type(t) is int for t in ranks):
-        floor = list(map(neg, map(floordiv, map(neg, map(_NUM, floor)), map(_DEN, floor))))
+    if Fraction in set(map(type, floor)) and all(type(t) is int for t in ranks):
+        floor = [-(-m.numerator // m.denominator) if type(m) is Fraction else m for m in floor]
     placed = list(map(partial(bisect_left, ranks), floor))
     index = {t: i for i, t in enumerate(ranks)}
     times = list(range(len(placed)))  # one int object per time, shared by the rungs
@@ -222,8 +216,7 @@ def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: in
     on rooted ones): every value a report thresholds, read once.  The q rows
     are read top-down, once the spine below them is checked bottom-up."""
     _check_climbs([ANCHOR], max((v.up for v in vertices if not v.path), default=0), tree)
-    rows = {v: _q_row(v, tree, spec, horizon)
-            for v in sorted(vertices, key=attrgetter("signed_depth"))}
+    rows = {v: _q_row(v, tree, spec, horizon) for v in sorted(vertices, key=attrgetter("signed_depth"))}
     q_rows = {v: rows[v] for v in vertices}
     if tree.rooted:
         return q_rows, None
@@ -270,11 +263,12 @@ def _sample_vertices(sample: Optional[Iterable], tree: TreeModel) -> list[Vertex
 def _diverging_records(vals: Sequence[float]) -> list[int]:
     """Indices where the sequence attains a strictly new maximum, provided
     the last of them exceeds the ladder cap; [] otherwise."""
-    if not vals:
-        return []
-    tops = accumulate(vals, max)  # the running maximum, before each next value
-    records = [0, *compress(range(1, len(vals)), map(gt, vals[1:], tops))]
-    return records if vals[records[-1]] > LADDER_MAX else []
+    records, best = [], None
+    for n, x in enumerate(vals):
+        if best is None or x > best:
+            records.append(n)
+            best = x
+    return records if records and vals[records[-1]] > LADDER_MAX else []
 
 
 def _diverging_vertex(q_rows: Iterable[tuple], spec: SpaceSpec):
@@ -538,9 +532,9 @@ def supercyclicity_report(
     (lo) and the smallest where the fiber display passed but the spine one
     failed (hi), and skips a k with s <= lo or s >= hi without evaluating
     either display: it finds the same (n, k) as testing every k in order.
-    A skip is one bisection among the scales read, sorted by s, to the first
-    k read with lo < s < hi (no k before it is: (lo, hi) only shrinks), or
-    else to the first k not read.
+    A skip bisects the scales read, sorted by s, for those in (lo, hi) and
+    scans them for the least k (no k before the current one is among them:
+    (lo, hi) only shrinks), or else goes on to the first k not read.
     The spine display is evaluated only where the fiber display passes at
     every sampled vertex.
 
@@ -689,7 +683,9 @@ class LimitPointReport:
         did not read are read here."""
         rows = []
         for v in self.sample:
-            row = self.q_rows.get(v) or _q_row(v, self.tree, self.spec, self.horizon)
+            row = self.q_rows.get(v)
+            if row is None:
+                row = _q_row(v, self.tree, self.spec, self.horizon)
             rows.extend(zip(repeat(format_address(v)), range(len(row)), _values(row, self.spec)))
         return rows
 
@@ -738,8 +734,14 @@ def limit_point_report(
                 to_float(abs(tree.weight(_p_n(found, nk - n_i, tree))))
                 for nk in usable[i:]
             ]
-            tail_min = min(values[len(values) // 2:])
-            decay.append(DecayObservation(i, values[-1], tail_min, tail_min <= DECAY_EPS))
+            tail = values[len(values) // 2:]
+            obs = DecayObservation(
+                i=i,
+                last=values[-1],
+                tail_min=min(tail),
+                decayed=min(tail) <= DECAY_EPS,
+            )
+            decay.append(obs)
         if decay and all(o.decayed for o in decay):
             status = "holds"
     return LimitPointReport(

@@ -15,8 +15,7 @@ times are judged time by time, as sets: `family_verdict_by_scan` tests
 every time of the window and the full neighbourhood of each, and
 `rung_times_by_threshold` tests every floor entry against each threshold.
 `write_csv_by_cell` writes a CSV one cell and one row at a time: the
-reference for the column blocks of `cli._write_csv`; `records_by_scan`
-finds the records of a row value by value.
+reference for the column blocks of `cli._write_csv`.
 """
 
 from __future__ import annotations
@@ -348,18 +347,6 @@ def family_verdict_by_scan(A, fam: FamilySpec, horizon: int) -> Verdict:
                        {"closest_base": best_label, "missing": best_missing})
 
     raise ValueError(f"unknown family kind {fam.kind!r}")
-
-
-def records_by_scan(vals) -> list:
-    """The indices where ``vals`` attains a strictly new maximum, the first
-    included, tested value by value; [] unless the last exceeds the ladder
-    cap, as `criteria._diverging_records` gives them."""
-    records, best = [], None
-    for n, x in enumerate(vals):
-        if best is None or x > best:
-            records.append(n)
-            best = x
-    return records if records and vals[records[-1]] > ts.criteria.LADDER_MAX else []
 
 
 def write_csv_by_cell(path, command: str, seed, header, rows) -> None:

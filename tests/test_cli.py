@@ -277,24 +277,33 @@ class _ComparedScale(int):
 
 
 def test_supercyclic_scan_compares_scales_o_h_log_h_times(monkeypatch, capsys):
-    """A skipped k costs one bisection among the scales read, not a test of
-    every later k: the bi_infinite_path scan at horizon 1100 compares
-    |lambda_k| 56,496 times (2,420,002 when it tested k = 0..H at every n,
-    about 1.2 M skip tests), within 6 H log2 H; the CLI output is that of
-    the linear scan (`test_supercyclic_scan_matches_the_linear_scan`)."""
-    scale = criteria._scale
+    """A skipped k costs one bisection among the scales read and a scan of
+    the slice of them inside (lo, hi), not a test of every later k: the
+    bi_infinite_path scan at horizon 1100 compares |lambda_k| 56,496 times
+    (2,420,002 when it tested k = 0..H at every n, about 1.2 M skip tests),
+    within 6 H log2 H, and every slice it scans is empty, since each skip
+    goes on to the first k not read; the CLI output is that of the linear
+    scan (`test_supercyclic_scan_matches_the_linear_scan`)."""
+    scale, itemgetter = criteria._scale, criteria.itemgetter
+    scanned = Counter()
 
     def counted(*args):
         lam, lam_pow, s = scale(*args)
         return lam, lam_pow, _ComparedScale(s)
 
+    def counted_getter(i):  # the k of each (|lambda_k|, k) of a scanned slice
+        get = itemgetter(i)
+        return lambda entry: scanned.update(["k"]) or get(entry)
+
     monkeypatch.setattr(criteria, "_scale", counted)
+    monkeypatch.setattr(criteria, "itemgetter", counted_getter)
     monkeypatch.setattr(_ComparedScale, "compared", 0)
     horizon = 1100
     argv = f"supercyclic --preset bi_infinite_path --space c0 --gamma powers:2 --horizon {horizon}"
     assert main(argv.split()) == 0
     assert "threshold 1: n=1, lambda_1=2" in capsys.readouterr().out
     assert 0 < _ComparedScale.compared <= 6 * horizon * math.log2(horizon)
+    assert scanned.total() == 0
 
 
 def test_spine_rows_are_read_top_down(monkeypatch, capsys):

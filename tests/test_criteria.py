@@ -15,7 +15,7 @@ from treeshift.presets import chain_vertex
 from treeshift.treespec import parse_tree_spec
 
 from conftest import SPACES, outcome, spec_documents
-from oracles import records_by_scan, rung_times_by_threshold, supercyclic_scan_linear
+from oracles import rung_times_by_threshold, supercyclic_scan_linear
 
 L1 = ts.SpaceSpec.ell(1)
 L2 = ts.SpaceSpec.ell(2)
@@ -206,15 +206,6 @@ def test_row_values_equal_the_value_of_each_mass(row, space):
     spec = ts.SpaceSpec.parse(space)
     assert _float_bits(criteria._values(row, spec)) == _float_bits(
         [criteria._value(m, spec) for m in row])
-
-
-@given(st.lists(st.one_of(st.floats(), st.sampled_from([4096.0, 4097.0, math.inf, math.nan])),
-                max_size=12))
-@settings(max_examples=300)
-def test_diverging_records_equal_the_value_by_value_scan(vals):
-    """The records of a row come from its running maximum in one C-level
-    pass; they are those of the scan value by value, NaN included."""
-    assert criteria._diverging_records(vals) == records_by_scan(vals)
 
 
 def test_floors_never_share_a_kept_row():
