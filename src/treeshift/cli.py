@@ -118,7 +118,8 @@ def _write_csv(args: argparse.Namespace, header: tuple[str, ...],
                rows: Callable[[], Iterable]) -> None:
     """Write the rows ``rows()`` returns, each of the header's length, to the
     --csv path; without --csv they are never built.  Each block of `_BLOCK`
-    rows is formatted by column (`_column`) and written by one ``writerows``."""
+    rows is formatted by column (`_column`) and joined by ``str.join``, and
+    written as joined unless a cell needs csv.writer's quoting."""
     if not args.csv:
         return
     with open(args.csv, "w", encoding="utf-8", newline="") as fp:
@@ -127,7 +128,13 @@ def _write_csv(args: argparse.Namespace, header: tuple[str, ...],
         writer.writerow(header)
         it = iter(rows())
         while block := list(islice(it, _BLOCK)):
-            writer.writerows(zip(*map(_column, zip(*block))))
+            cols = list(map(_column, zip(*block)))
+            text = "\n".join(map(",".join, zip(*cols)))
+            if (len(cols) > 1 and text.count(",") == len(block) * (len(cols) - 1)
+                    and text.count("\n") == len(block) - 1 and '"' not in text and "\r" not in text):
+                fp.write(text + "\n")
+            else:
+                writer.writerows(zip(*map(_column, zip(*block))))
 
 
 def _parse_family(text: str) -> FamilySpec:

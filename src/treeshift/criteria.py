@@ -13,11 +13,12 @@ every verdict is horizon-stamped rather than asserted as a true limit.
 Public functions check the vertices they are given.  The reports read each
 sampled vertex's q-mass row (and its j-mass row on unrooted trees) once for
 n = 0..horizon; the floor of a sample set is the elementwise min of its rows.
-A tree keeps one q row per (space, vertex type), a sweep of the levels below
-the type (`trees._step`); a type first met below a chain of single children
-reads the row of the chain's head from its offset (`_q_row`).  A j row is
-one merge of memoised levels per n (`trees._spine_fiber`), and each level
-is massed once per tree (`spaces._level_mass`).  All the rungs of a ladder
+A tree keeps one q row per (space, vertex type): runs of single-child
+levels massed from their chains' weights (`_chain_run`), other levels swept
+(`trees._step`, `spaces._level_mass`); a type first met below a chain of
+single children reads the row of the chain's head from its offset.  A j row
+reuses the level and mass of n - 1 where p^n(v) has one child, and is else
+one merge of memoised levels per n (`_spine_parts`).  All the rungs of a ladder
 are thresholded in one pass over a floor (`_rung_times`): each entry is
 ranked once among the sorted thresholds, and every rung's times come out
 ascending, so that the families judge them by their runs without sorting
@@ -31,13 +32,13 @@ from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import partial
 from itertools import compress, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, floordiv, itemgetter, neg, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import field, record
 from .errors import EmptyIndexSetError, FloatRangeError, RootedTreeError
 from .families import FamilySpec, Verdict, family_verdict, generated_filter, infinite_family
-from .spaces import SpaceSpec, _level_mass, fiber_mass, to_float
+from .spaces import SpaceSpec, _level_mass, fiber_mass, safe_div, to_float
 from .trees import (
     ANCHOR,
     TreeModel,
@@ -54,6 +55,7 @@ from .trees import (
 )
 
 LADDER_MAX = 2 ** 12
+_NUMERATOR, _DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")  # Fraction slots
 DEFAULT_LADDER = tuple(2 ** k for k in range(13))
 
 
@@ -65,11 +67,20 @@ def _checked(vertices: Iterable, tree: TreeModel) -> list[VertexAddress]:
     return verts
 
 
-def _j_parts(v: VertexAddress, n: int, tree: TreeModel, spec: SpaceSpec) -> tuple:
-    """The parts of j(v, n) on an unrooted tree: ``(mu(p^n v), q-mass of
-    Chi^n(p^n v))``, the fiber's level read by `trees._spine_fiber`."""
-    s, level = _spine_fiber(v, n, tree)
-    return tree.weight(s), _level_mass(tree, level, spec.dual, (tree.type_of(s), n))[1]
+def _spine_parts(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, ns: range):
+    """``(mu(p^n v), q-mass of Chi^n(p^n v))`` for each n of ``ns``, the
+    fiber read by `trees._spine_fiber`, or where p^n v has one child the
+    fiber of n - 1, kept as `trees._fiber_types` keeps it, with its mass."""
+    for n in ns:
+        s = _p_n(v, n, tree)
+        t = tree.type_of(s)
+        if n > ns.start and tree.child_types(t) == (below,):
+            _remember(tree.levels, (t, n), level)
+            yield tree.weight(s), mass
+        else:
+            level = _spine_fiber(v, n, tree)[1]
+            yield tree.weight(s), (mass := _level_mass(tree, level, spec.dual, (t, n))[1])
+        below = t
 
 
 def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1, k=None):
@@ -81,12 +92,12 @@ def _j_term(spine_weight, fiber, spec: SpaceSpec, lam=1, k=None):
     scaled = dual.power(spine_weight * lam)
     if k is not None and scaled == 0 and isinstance(scaled, float):
         raise FloatRangeError(f"lambda_{k} = {lam} scales a spine weight to 0.0 in floats")
-    return dual.combine((1 / scaled, fiber))
+    return dual.combine((safe_div(1, scaled), fiber))
 
 
 def _j_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
     """j(v, n) in the scale of thresholds for n = 0..horizon."""
-    return [_j_term(*_j_parts(v, n, tree, spec), spec) for n in range(horizon + 1)]
+    return [_j_term(w, mass, spec) for w, mass in _spine_parts(v, tree, spec, range(horizon + 1))]
 
 
 def _value(mass, spec: SpaceSpec) -> float:
@@ -95,10 +106,12 @@ def _value(mass, spec: SpaceSpec) -> float:
 
 
 def _values(row: Sequence, spec: SpaceSpec) -> list[float]:
-    """`_value` of each mass of ``row`` by one ``float`` pass and one ``pow``
+    """`_value` of each mass of ``row`` by one ``float`` pass (for Fractions
+    alone, numerator / denominator, as ``float`` takes it) and one ``pow``
     pass; a mass past float range sends the row to `_value`, which clamps it."""
     try:
-        floats = map(float, row)
+        floats = (map(truediv, map(_NUMERATOR, row), map(_DENOMINATOR, row))
+                  if set(map(type, row)) == {Fraction} else map(float, row))
         return list(floats if spec.dual.plain else map(pow, floats, repeat(spec.dual._inverse)))
     except OverflowError:
         return [_value(m, spec) for m in row]
@@ -118,40 +131,72 @@ def j_value(v, n: int, tree: TreeModel, spec: SpaceSpec) -> float:
     if tree.rooted:
         raise RootedTreeError("j_value needs the n-fold parent of every vertex")
     (v,) = _checked([v], tree)
-    return _value(_j_term(*_j_parts(v, n, tree, spec), spec), spec)
+    return _value(_j_term(*next(_spine_parts(v, tree, spec, range(n, n + 1))), spec), spec)
 
 
-def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int) -> list:
+def _q_row(v: VertexAddress, tree: TreeModel, spec: SpaceSpec, horizon: int,
+           reach: int = 1) -> list:
     """q(v, n) in the scale of thresholds, n = 0..horizon: `fiber_mass`'s
     ``combined`` terms.  A tree keeps one row per (dual, vertex type) in
-    ``tree.q_rows``, with the last level it swept, and a vertex reads the row
-    of its type.  A type without a row reads the row of the nearest ancestor
-    on its path whose descendants down to v are single children: that row
-    reached v's type, as the level {type: 1}, at the offset of their
-    distance, and the levels below are the same dicts, so the masses are the
-    same objects.  Levels past a kept row are swept from its last level."""
+    ``tree.q_rows``, with its last level, and a vertex reads the row of its
+    type, or else that of the nearest ancestor on its path, or at most
+    ``reach`` spine steps above it, whose descendants down to v are single
+    children, from the offset of their distance (`_chain_row`).  Levels past
+    a kept row are read by runs of single-child levels (`_chain_run`) and
+    else swept; once a run raises, the sweep raises at its level."""
     dual, t = spec.dual, tree.type_of(v)
-    row, level = tree.q_rows.get((dual, t)) or _chain_row(v, tree, dual) or ([], None)
+    row, level = tree.q_rows.get((dual, t)) or _chain_row(v, tree, dual, reach) or ([], None)
     if len(row) <= horizon:
-        row = list(row)
-        for n in range(len(row), horizon + 1):
-            level = {t: 1} if n == 0 else _step(level, tree)
-            row.append(_level_mass(tree, level, dual, (t, n))[1])
+        row, runs = list(row), True
+        while len(row) <= horizon:
+            n, terms = len(row), ()
+            try:
+                if runs and n:
+                    terms, last = _chain_run(level, tree, dual, horizon + 1 - n)
+            except Exception:
+                runs = False
+            if terms:
+                row, level = row + terms, last
+            else:
+                level = _step(level, tree) if n else {t: 1}
+                row.append(_level_mass(tree, level, dual, (t, n))[1])
         _remember(tree.q_rows, (dual, t), (row, level))
     return row[:horizon + 1]
 
 
-def _chain_row(v: VertexAddress, tree: TreeModel, dual) -> Optional[tuple]:
+def _chain_run(level: dict, tree: TreeModel, dual, count: int) -> tuple:
+    """``(terms, last level)`` of up to ``count`` levels below ``level``
+    while each type of a level counts 1 and has one child type, all
+    distinct: chains side by side (`DualExponent.chain_terms`); no terms
+    where ``level`` is not such a level."""
+    child_types = tree.child_types
+    if (set(level.values()) != {1} or len(child_types(next(iter(level)))) != 1
+            or set(map(len, map(child_types, level))) != {1}):
+        return (), None
+    chains = [[head] for head in level]
+    for chain in chains:
+        while len(chain) <= count and len(kids := child_types(chain[-1])) == 1:
+            chain.append(kids[0])
+    size = min(map(len, chains))
+    if len(chains) > 1:  # chains that merge count one type twice: the run ends there
+        distinct = list(map(len, map(set, zip(*chains))))
+        size = next((i for i, d in enumerate(distinct) if d < len(chains)), size)
+    terms = dual.chain_terms([list(map(tree.type_weight, c[1:size])) for c in chains])
+    return terms, dict.fromkeys([chain[size - 1] for chain in chains], 1)
+
+
+def _chain_row(v: VertexAddress, tree: TreeModel, dual, reach: int) -> Optional[tuple]:
     """``(row, last level)`` of v's type from the kept row of the nearest
-    a = p^k(v) on v's path, or one spine step above it, where a and the
-    vertices below it down to p(v) have one child each: that row from n = k
-    on.  None if no such a has a row longer than k."""
-    up, path = v
-    for k in range(1, len(path) + 1 + (not tree.rooted)):
-        a = tree.type_of(_p_n(v, k, tree))
-        if tree.type_arity(a) != 1 or (k > len(path) and tree.spine_child_index(up) != 0):
+    a = p^k(v) on v's path, or at most ``reach`` spine steps above it, where
+    a and the vertices below it down to p(v) have one child each: that row
+    from n = k on.  None if no such a has a row longer than k."""
+    path = v.path
+    for k in range(1, len(path) + 1 + (0 if tree.rooted else reach)):
+        a = _p_n(v, k, tree)
+        t = tree.type_of(a)
+        if tree.type_arity(t) != 1 or k > len(path) and tree.spine_child_index(a.up - 1) != 0:
             return None
-        entry = tree.q_rows.get((dual, a))
+        entry = tree.q_rows.get((dual, t))
         if entry is not None and len(entry[0]) > k:
             return entry[0][k:], entry[1]
     return None
@@ -181,8 +226,11 @@ def _rung_times(floor: Optional[list], ladder: Sequence, spec: SpaceSpec,
     if floor is None:
         return [list(range(horizon + 1)) for _ in thresholds]
     ranks = sorted({t for t in thresholds if t == t})
-    if Fraction in set(map(type, floor)) and all(type(t) is int for t in ranks):
-        floor = [-(-m.numerator // m.denominator) if type(m) is Fraction else m for m in floor]
+    kinds = set(map(type, floor))
+    if Fraction in kinds and all(type(t) is int for t in ranks):  # Fractions alone: one pass each
+        floor = (list(map(neg, map(floordiv, map(neg, map(_NUMERATOR, floor)), map(_DENOMINATOR, floor))))
+                 if kinds == {Fraction} else
+                 [-(-m.numerator // m.denominator) if type(m) is Fraction else m for m in floor])
     placed = list(map(partial(bisect_left, ranks), floor))
     index = {t: i for i, t in enumerate(ranks)}
     times = list(range(len(placed)))  # one int object per time, shared by the rungs
@@ -214,9 +262,12 @@ def J_set(F, N, tree: TreeModel, spec: SpaceSpec, horizon: int) -> set[int]:
 def _mass_rows(vertices: Iterable, tree: TreeModel, spec: SpaceSpec, horizon: int):
     """Each vertex's q-mass row and, on unrooted trees, its j-mass row (None
     on rooted ones): every value a report thresholds, read once.  The q rows
-    are read top-down, once the spine below them is checked bottom-up."""
-    _check_climbs([ANCHOR], max((v.up for v in vertices if not v.path), default=0), tree)
-    rows = {v: _q_row(v, tree, spec, horizon) for v in sorted(vertices, key=attrgetter("signed_depth"))}
+    are read top-down, once the spine below them is checked bottom-up, each
+    reaching up to the next sampled spine vertex."""
+    heights = {v.up for v in vertices if not v.path}
+    _check_climbs([ANCHOR], max(heights, default=0), tree)
+    rows = {v: _q_row(v, tree, spec, horizon, min((h - v.up for h in heights if h > v.up), default=1))
+            for v in sorted(vertices, key=attrgetter("signed_depth"))}
     q_rows = {v: rows[v] for v in vertices}
     if tree.rooted:
         return q_rows, None
@@ -589,11 +640,19 @@ def supercyclicity_report(
     rungs = ((R, dual.threshold(R)) for R in ladder)
     R, R_pow = next(rungs, (None, None))
     scales, index = [], []  # (lambda_k, |lambda_k|^p*, |lambda_k|), and (|lambda_k|, k) sorted
+    spines = [_spine_parts(v, tree, spec, range(1, horizon + 1)) for v in sample_verts]
+    rows, read = [], 0  # the sample's q rows hold n <= read; None once a read raised
     for n in range(1, horizon + 1):
         if R is None:
             break
-        spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
-        fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
+        spine = [next(parts) for parts in spines]
+        if read is not None and n > read:
+            ahead = min(horizon, 2 * n)
+            try:  # else each n reads its fibers, and the scan raises where it reaches the error
+                read, rows = ahead, [_q_row(v, tree, spec, ahead) for v in sample_verts]
+            except Exception:
+                read = None
+        fibers = [row[n] for row in rows] if read else [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
         lo, hi, k = 0, math.inf, 0  # the fiber display fails at |lambda| <= lo, the spine at >= hi
         while k <= horizon:
             if k == len(scales):

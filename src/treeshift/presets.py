@@ -8,6 +8,7 @@ the magnitudes that occur here).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -16,12 +17,6 @@ from .spaces import SparseVector
 from .trees import ROOTED, UNROOTED, TreeModel, VertexAddress, VertexTypes
 
 MSequence = Union[str, Sequence[int], Callable[[int], int]]
-
-
-def _pow2(e: int, exact: bool):
-    if exact:
-        return Fraction(2) ** e
-    return 2.0 ** e
 
 
 def _m_rule(m: MSequence) -> Callable[[int], int]:
@@ -72,20 +67,24 @@ def unary_path() -> TreeModel:
                      types=_ONE_TYPE)
 
 
-def _block_exponent(k: int, m: Callable[[int], int]) -> int:
-    """Exponent e with weight 2^e at position k >= 1 of the two-sided block
+def _block_exponents(m: Callable[[int], int]) -> Callable[[int], int]:
+    """The rule k -> e, weight 2^e at position k >= 1 of the two-sided block
     pattern: odd blocks dip to 2^-m_j and climb back to 1, even blocks rise
-    to 2^m_j and come back down."""
-    j = 1
-    cum = 0
-    while True:
-        length = 2 * m(j)
-        if k <= cum + length:
-            i = k - cum
-            e = min(i, length - i)
-            return -e if j % 2 == 1 else e
-        cum += length
-        j += 1
+    to 2^m_j and come back down.  Block j ends at 2 (m_1 + ... + m_j); the
+    ends are kept as m is read, and a position's block is the first whose
+    end reaches it, found by bisection among the ends' running maxima."""
+    ends, tops = [0], [0]
+
+    def exponent(k: int) -> int:
+        while tops[-1] < k:
+            ends.append(ends[-1] + 2 * m(len(ends)))
+            tops.append(max(tops[-1], ends[-1]))
+        j = bisect_left(tops, k)
+        i = k - ends[j - 1]
+        e = min(i, ends[j] - ends[j - 1] - i)
+        return -e if j % 2 == 1 else e
+
+    return exponent
 
 
 def example_4_1(m: MSequence = "pow2", exact: bool = False) -> TreeModel:
@@ -93,16 +92,18 @@ def example_4_1(m: MSequence = "pow2", exact: bool = False) -> TreeModel:
 
     Branch 1 carries the block-patterned weights mu_v and branch 0 their
     reciprocals, so the two branches are never simultaneously small.  A
-    vertex is typed "root" or by (branch, position in its chain).
+    vertex is typed "root" or by (branch, position in its chain).  A tree
+    builds each power of two once.
     """
-    rule = _m_rule(m)
+    exponent, powers = _block_exponents(_m_rule(m)), {}
 
     def weight(t):
         if t == "root":
             return 1
-        branch, k = t
-        e = _block_exponent(k, rule)
-        return _pow2(e if branch == 1 else -e, exact)
+        e = exponent(t[1]) if t[0] == 1 else -exponent(t[1])
+        if e not in powers:
+            powers[e] = Fraction(2) ** e if exact else 2.0 ** e
+        return powers[e]
 
     types = VertexTypes(
         type_of=lambda v: (v.path[0], len(v.path)) if v.path else "root",
@@ -118,7 +119,7 @@ def example_7_2(exact: bool = False) -> TreeModel:
     return TreeModel(
         UNROOTED,
         arity=lambda d: 2 if d == 0 else 1,
-        weight=lambda d: 1 if d <= 0 else _pow2(-d, exact),
+        weight=lambda d: 1 if d <= 0 else Fraction(2) ** -d if exact else 2.0 ** -d,
         spine_child_index=lambda k: 0,
         name="example_7_2",
         types=_SIGNED_DEPTH,

@@ -201,6 +201,25 @@ class DualExponent:
                 return Fraction(num, den) if pairs else 0
         return sum(div(count, self.power(w)) for w, count in pairs)
 
+    def chain_terms(self, chains: list) -> list:
+        """``combined(mass(pairs))`` of each level of k chains side by side,
+        a level's pairs being (w, 1) for its weight w in each of the k lists
+        ``chains``: its one-pair masses added left to right, as its own
+        ``sum`` adds them, or for r = inf the reciprocal of its least |w|."""
+        if self.is_max:
+            return [safe_div(1, min(map(abs, ws))) for ws in zip(*chains)]
+        masses = list(map(self._one_masses, chains))
+        return masses[0] if len(masses) == 1 else list(map(sum, zip(*masses)))
+
+    def _one_masses(self, weights: list) -> list:
+        """``mass([(w, 1)])`` of each of ``weights``: one pass of 1 / |w|^r
+        for floats, else one ``mass`` per distinct weight object."""
+        if set(map(type, weights)) == {float}:
+            powers = map(abs, weights) if self.plain else map(pow, map(abs, weights), repeat(self._exponent))
+            return list(map(operator.truediv, repeat(1), powers))
+        table = {key: self.mass(((w, 1),)) for key, w in dict(zip(map(id, weights), weights)).items()}
+        return list(map(table.__getitem__, map(id, weights)))
+
     def _budget(self, ints) -> None:
         """Raise WorkBudgetError if the exact r-th power of one of ``ints``
         would pass MAX_POWER_BITS: |x|^r has about r * bit_length(x) bits."""

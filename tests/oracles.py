@@ -10,9 +10,16 @@ vertex, with no vertex type read, and so do the right inverses S_n and the
 maps I_n, whose simplex minimiser weighs the fiber vertex by vertex.  The
 one exception is the Gamma-supercyclicity scan, which reads the library's
 displays but tests every k at every n: it is the reference for the order
-in which `supercyclicity_report` skips scales.  Family verdicts and rung
-times are judged time by time, as sets: `family_verdict_by_scan` tests
-every time of the window and the full neighbourhood of each, and
+in which `supercyclicity_report` skips scales.  The row references read
+the library one level at a time, with no run of chains: `q_row_by_sweep`
+steps every level with `trees._step` and masses it from its (weight,
+count) pairs, `j_row_by_n` reads the parts of each j term by
+`j_parts_by_n`, and `supercyclic_scan_by_vertex` is the skipping scan
+reading those parts and `fiber_mass` per (v, n).  `block_exponent_by_scan`
+finds a position's block of `presets.example_4_1` by scanning the blocks
+from the first.  Family verdicts and rung times are judged time by time,
+as sets: `family_verdict_by_scan` tests every time of the window and the
+full neighbourhood of each, and
 `rung_times_by_threshold` tests every floor entry against each threshold.
 `write_csv_by_cell` writes a CSV one cell and one row at a time: the
 reference for the column blocks of `cli._write_csv`.
@@ -23,10 +30,12 @@ from __future__ import annotations
 import csv
 import math
 import weakref
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 
 import treeshift as ts
 from treeshift.cli import _fmt
-from treeshift.criteria import _j_parts, _j_term
+from treeshift.criteria import _j_term, _scale
 from treeshift.families import (
     COFINITE,
     GENERATED_FILTER,
@@ -37,8 +46,8 @@ from treeshift.families import (
     FamilySpec,
     Verdict,
 )
-from treeshift.spaces import fiber_mass, to_float
-from treeshift.trees import ValidationReport, Violation
+from treeshift.spaces import _level_mass, fiber_mass, to_float
+from treeshift.trees import ValidationReport, Violation, _spine_fiber, _step
 
 
 def compositions(total: int, parts: int):
@@ -101,6 +110,13 @@ def orbit_residual_tail(p: float, k: int, k_max: int = 7) -> float:
     )
 
 
+def j_parts_by_n(v, n: int, tree, spec) -> tuple:
+    """``(mu(p^n v), q-mass of Chi^n(p^n v))``, the level read by
+    `trees._spine_fiber` and massed by `spaces._level_mass`."""
+    s, level = _spine_fiber(v, n, tree)
+    return tree.weight(s), _level_mass(tree, level, spec.dual, (tree.type_of(s), n))[1]
+
+
 def supercyclic_scan_linear(tree, spec, gamma, horizon, sample_verts, ladder):
     """``(achieved, failed_rung)`` of the Gamma-supercyclicity scan on an
     unrooted tree, testing both displays at every k = 0..horizon for each n
@@ -114,7 +130,7 @@ def supercyclic_scan_linear(tree, spec, gamma, horizon, sample_verts, ladder):
     for n in range(1, horizon + 1):
         if R is None:
             break
-        spine = [_j_parts(v, n, tree, spec) for v in sample_verts]
+        spine = [j_parts_by_n(v, n, tree, spec) for v in sample_verts]
         fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
         for k in range(horizon + 1):
             if k == len(scales):
@@ -129,6 +145,76 @@ def supercyclic_scan_linear(tree, spec, gamma, horizon, sample_verts, ladder):
                 R, R_pow = next(rungs, (None, None))
                 break
     return achieved, R
+
+
+def supercyclic_scan_by_vertex(tree, spec, gamma, horizon, sample_verts, ladder):
+    """``(achieved, failed_rung)`` of the skipping scan of
+    `supercyclicity_report` on an unrooted tree, reading the spine parts
+    (`j_parts_by_n`) and fiber masses (`fiber_mass`) per (v, n)."""
+    dual = spec.dual
+    achieved = []
+    rungs = ((R, dual.threshold(R)) for R in ladder)
+    R, R_pow = next(rungs, (None, None))
+    scales, index = [], []
+    for n in range(1, horizon + 1):
+        if R is None:
+            break
+        spine = [j_parts_by_n(v, n, tree, spec) for v in sample_verts]
+        fibers = [fiber_mass(tree, v, n, spec)[1] for v in sample_verts]
+        lo, hi, k = 0, math.inf, 0
+        while k <= horizon:
+            if k == len(scales):
+                scales.append(_scale(gamma, k, dual, spine, fibers))
+                insort(index, (scales[k][2], k))
+            lam, lam_pow, s = scales[k]
+            if not lo < s < hi:
+                found = index[bisect_right(index, (lo, math.inf)):bisect_left(index, (hi, -1))]
+                k = min(map(itemgetter(1), found), default=len(scales))
+                continue
+            if not all(lam_pow * fiber > R_pow for fiber in fibers):
+                lo = s
+            elif not all(_j_term(*parts, spec, lam, k) > R_pow for parts in spine):
+                hi = s
+            else:
+                achieved.append((R, n, k, lam))
+                R, R_pow = next(rungs, (None, None))
+                break
+            k += 1
+    return achieved, R
+
+
+def q_row_by_sweep(v, tree, spec, horizon: int) -> list:
+    """q(v, n) in the scale of thresholds for n = 0..horizon: each level
+    stepped from the one above by `trees._step`, from {type of v: 1}, and
+    massed from its (weight, count) pairs by `DualExponent.mass`."""
+    dual, level, row = spec.dual, {tree.type_of(v): 1}, []
+    for n in range(horizon + 1):
+        if n:
+            level = _step(level, tree)
+        pairs = [(tree.type_weight(t), count) for t, count in level.items()]
+        row.append(dual.combined(dual.mass(pairs)) if pairs else 0)
+    return row
+
+
+def j_row_by_n(v, tree, spec, horizon: int) -> list:
+    """j(v, n) in the scale of thresholds for n = 0..horizon, one
+    `j_parts_by_n` and one `criteria._j_term` per n."""
+    return [_j_term(*j_parts_by_n(v, n, tree, spec), spec) for n in range(horizon + 1)]
+
+
+def block_exponent_by_scan(k: int, m) -> int:
+    """The exponent at position k >= 1 of `presets.example_4_1`'s block
+    pattern for the m-rule ``m``, scanning blocks j = 1, 2, ... from the
+    first, one m-rule call per block."""
+    j, cum = 1, 0
+    while True:
+        length = 2 * m(j)
+        if k <= cum + length:
+            i = k - cum
+            e = min(i, length - i)
+            return -e if j % 2 == 1 else e
+        cum += length
+        j += 1
 
 
 _WALKED = weakref.WeakKeyDictionary()  # tree -> {(v, n) or (v, n, dual): fiber or mass}

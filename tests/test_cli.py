@@ -205,27 +205,46 @@ def _count_calls(monkeypatch, owner, *names) -> Counter:
     return calls
 
 
+def _count_terms(monkeypatch) -> Counter:
+    """Count the masses `criteria._chain_run` gives, by the first vertex
+    type of each run's level."""
+    terms, run = Counter(), criteria._chain_run
+
+    def counted(level, *args):
+        masses, last = run(level, *args)
+        terms[next(iter(level))] += len(masses)
+        return masses, last
+
+    monkeypatch.setattr(criteria, "_chain_run", counted)
+    return terms
+
+
 def test_criteria_builds_csv_rows_only_for_csv(tmp_path, monkeypatch, capsys):
     """The report reads one q row per vertex type, and a chain vertex the row
-    of its parent from n = 1: 3,007 fiber-mass reads, counting memo hits
-    (7,007 when each of the 7 sampled vertices swept its own row), one per
-    distinct fiber level: 1001 levels below the root and 1003 along each
-    chain.  The CSV writes the rows the report read and reads no mass again,
-    and labels each of its 7 vertices once (7,007 labels when every row was
-    labelled)."""
+    of its parent from n = 1: 3,007 masses, one per distinct fiber level,
+    1001 levels below the root and 1003 along each chain (7,007 when each of
+    the 7 sampled vertices swept its own row).  The root's first two levels
+    and the first level of each chain are read as levels, and every other
+    is a term of a run of single-child levels: 4 level reads and 4 mass
+    calls (3,007 and 3,007 when every level was read) and 3,003 chain
+    terms.  The CSV writes the rows the report read and reads no mass
+    again, and labels each of its 7 vertices once (7,007 labels when every
+    row was labelled)."""
     reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
     masses = _count_calls(monkeypatch, DualExponent, "mass")
+    terms = _count_terms(monkeypatch)
     labels = _count_calls(monkeypatch, criteria, "format_address")
     args = ["criteria", "--preset", "example_4_1", "--horizon", "1000"]
     assert main(args) == 0
-    assert (reads.total(), masses.total()) == (3007, 3007)
+    assert (reads.total(), masses.total(), terms.total()) == (4, 4, 3003)
     text_labels = labels.copy()
     reads.clear()
     masses.clear()
+    terms.clear()
     labels.clear()
     csv_path = tmp_path / "q.csv"
     assert main(args + ["--csv", str(csv_path)]) == 0
-    assert (reads.total(), masses.total()) == (3007, 3007)
+    assert (reads.total(), masses.total(), terms.total()) == (4, 4, 3003)
     with open(csv_path, newline="") as fp:
         csv_vertices = {row[0] for row in list(csv.reader(fp))[2:]}
     assert len(csv_vertices) == 7
@@ -236,17 +255,21 @@ def test_limit_point_csv_reads_only_rows_the_report_did_not(tmp_path, monkeypatc
     """The report stops at the diverging root; the CSV reads each other
     sampled vertex's row once and none twice.  A chain vertex below the
     first of its chain reads its parent's row and one level more: with the
-    report's root, 3 x 1001 + 4 x 1 reads (7 x 1001 when every vertex swept
-    its own row)."""
+    report's root, 3 x 1001 + 4 x 1 masses (7 x 1001 when every vertex
+    swept its own row).  The first level of each row swept from its own
+    type and the root's second level are level reads, the rest chain terms
+    (1,001 and 3,007 level reads when every level was read)."""
     rows = _count_calls(monkeypatch, criteria, "_q_row")
     reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
+    terms = _count_terms(monkeypatch)
     args = ["limit-point", "--preset", "example_4_1", "--horizon", "1000"]
     assert main(args) == 0
-    assert (rows, reads.total()) == ({ts.ANCHOR: 1}, 1001)
+    assert (rows, reads.total(), terms.total()) == ({ts.ANCHOR: 1}, 2, 999)
     rows.clear()
     reads.clear()
+    terms.clear()
     assert main(args + ["--csv", str(tmp_path / "q.csv")]) == 0
-    assert (rows.total(), len(rows), reads.total()) == (7, 7, 3007)
+    assert (rows.total(), len(rows), reads.total(), terms.total()) == (7, 7, 4, 3003)
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,13 +331,35 @@ def test_supercyclic_scan_compares_scales_o_h_log_h_times(monkeypatch, capsys):
 
 def test_spine_rows_are_read_top_down(monkeypatch, capsys):
     """The sampled spine vertices (3; ) down to (0; ) read their q rows top
-    down: (3; ) sweeps 101 levels, and each one below reads the row above
-    it from offset 1 and one level more, 814 fiber-mass reads in all
-    (1,114 when each of the four swept its own 101 levels)."""
+    down: (3; ) reads its first level and masses the other 100 in one run
+    of single-child levels, and each one below reads the row above it from
+    offset 1 and one level more, as do the chain vertices below (0; ): 106
+    chain terms.  A j row reads its level at n = 0 and then climbs single
+    children, whose fiber is the level below: 8 level reads in all (814
+    when the q rows swept 104 levels and the j rows read 707)."""
     reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
+    terms = _count_terms(monkeypatch)
     argv = "criteria --preset bi_infinite_path --family thick:3 --horizon 100"
     assert main(argv.split()) == 0
-    assert reads.total() == 814
+    assert (reads.total(), terms.total()) == (8, 106)
+
+
+def test_spine_gaps_cost_their_length(monkeypatch):
+    """A sampled spine vertex reads the row of the nearest sampled spine
+    vertex above it, however far: the samples [(0; )], [(4; )] and
+    [(0; )], [(1; )] make the same level reads, and their chain terms
+    differ by the difference of their gaps (404 against 304 level reads
+    when only a spine step above a path was climbed)."""
+    reads = _count_calls(monkeypatch, criteria, "fiber_mass", "_level_mass")
+    terms = _count_terms(monkeypatch)
+    counts = []
+    for top in (4, 1):
+        reads.clear()
+        terms.clear()
+        ts.dynamics_report(ts.bi_infinite_path(), ts.SpaceSpec.ell(2),
+                           sample=[[ts.VertexAddress(0)], [ts.VertexAddress(top)]], horizon=100)
+        counts.append((reads.total(), terms.total()))
+    assert counts == [(3, 100 + 4), (3, 100 + 1)]
 
 
 @pytest.mark.parametrize("gamma, k", [("const:1e400", 0), ("powers:1e300 --space 3", 1)])
@@ -393,6 +438,49 @@ def test_csv_columns_write_the_bytes_of_the_cell_by_cell_writer(tmp_path_factory
     cli._write_csv(args, header, lambda: rows)
     write_csv_by_cell(path / "cells.csv", "criteria", 3, header, rows)
     assert (path / "columns.csv").read_bytes() == (path / "cells.csv").read_bytes()
+
+
+class _CountedWriter:
+    """A csv.writer that counts the rows its ``writerows`` is given."""
+
+    rows = 0
+    make = csv.writer
+
+    def __init__(self, fp, **kwargs):
+        self._writer = _CountedWriter.make(fp, **kwargs)
+        self.writerow = self._writer.writerow
+
+    def writerows(self, rows):
+        rows = list(rows)
+        _CountedWriter.rows += len(rows)
+        self._writer.writerows(rows)
+
+
+@pytest.mark.parametrize("special, quoted", [
+    (("(0; 1.2)", 1.5, 7), False), (("a,b", 1.5, 7), True), (('say "x"', 1.5, 7), True),
+    (("two\nlines", 1.5, 7), True), (("cr\r", 1.5, 7), True), (("", ""), False),
+    (("",), True), (("(1; )",), True),
+])
+def test_csv_blocks_without_quoting_are_joined(tmp_path, monkeypatch, special, quoted):
+    """A block of two or more columns where no cell holds a comma, a quote,
+    a newline or a carriage return is joined by str.join, and any other
+    block goes to csv.writer; the bytes are the cell-by-cell writer's.  The
+    special cell sits in the second of three blocks only."""
+    monkeypatch.setattr(cli.csv, "writer", _CountedWriter)
+    monkeypatch.setattr(_CountedWriter, "rows", 0)
+    plain = ("(0; )", 0.25, 3)[:len(special)]
+    rows = [special if i == cli._BLOCK + 5 else plain for i in range(2 * cli._BLOCK + 3)]
+    header = tuple(f"c{i}" for i in range(len(special)))
+    args = argparse.Namespace(csv=str(tmp_path / "joined.csv"), command="criteria", seed=3)
+    cli._write_csv(args, header, lambda: rows)
+    written = _CountedWriter.rows
+    monkeypatch.undo()
+    write_csv_by_cell(tmp_path / "cells.csv", "criteria", 3, header, rows)
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    if len(special) == 1:  # one column: every block goes to csv.writer
+        assert written == len(rows)
+    else:
+        assert written == (cli._BLOCK if quoted else 0)
 
 
 def test_csv_columns_of_one_type_call_no_per_cell_formatter(tmp_path, monkeypatch, capsys):

@@ -193,14 +193,19 @@ def _float_bits(values: list) -> list:
     return [(type(x), x.hex()) for x in values]
 
 
-@given(st.one_of(st.lists(_MASSES, max_size=12), st.lists(_RATIONAL_MASSES, max_size=12)),
-       st.sampled_from(["1", "2", "3", "4/3", "c0"]))
+_ROWS = st.one_of(st.lists(_MASSES, max_size=12), st.lists(_RATIONAL_MASSES, max_size=12),
+                  st.lists(_RATIONAL_MASSES.map(Fraction), max_size=12))
+
+
+@given(_ROWS, st.sampled_from(["1", "2", "3", "4/3", "c0"]))
 @example([Fraction(2 ** 53 + 3, 3), 7], "c0")
+@example([Fraction(2 ** 53 + 3, 3), Fraction(10) ** 400], "2")
 @settings(max_examples=300)
 def test_row_values_equal_the_value_of_each_mass(row, space):
     """`_values` converts a whole row in one float pass and one pow pass; it
     equals `_value` of each mass to the bit, for rows of floats, ints and
-    Fractions and rows of ints and Fractions alone, plain (l^1, c0) and
+    Fractions, rows of ints and Fractions and rows of Fractions alone (one
+    truediv pass over numerators and denominators), plain (l^1, c0) and
     powered duals, and masses past float range, which `_value` clamps to
     inf."""
     spec = ts.SpaceSpec.parse(space)

@@ -169,7 +169,8 @@ def _read(kind: str, v, n: int, spec):
     return {
         "fiber_mass": lambda tree: ts.fiber_mass(tree, v, n, spec),
         "q_row": lambda tree: criteria._q_row(v, tree, spec, n),
-        "j_parts": lambda tree: [criteria._j_term(*criteria._j_parts(v, n, tree, spec), spec)],
+        "j_parts": lambda tree: [criteria._j_term(
+            *next(criteria._spine_parts(v, tree, spec, range(n, n + 1))), spec)],
         "j_row": lambda tree: criteria._j_row(v, tree, spec, n),
     }[kind]
 
@@ -480,7 +481,7 @@ def test_identity_typed_masses_are_keyed_by_vertex_and_depth():
     assert row == [2 ** n for n in range(5)]
     assert (spec.dual, VA(0, (1,)), 4) in tree.fiber_masses
     chain = ts.bi_infinite_path().with_weight(lambda v: 2)
-    parts = criteria._j_parts(VA(0), 3, chain, spec)
+    parts = next(criteria._spine_parts(VA(0), chain, spec, range(3, 4)))
     assert parts == (2, Fraction(1, 4)) and (spec.dual, VA(3), 3) in chain.fiber_masses
     typed = ts.full_binary()
     ts.fiber_mass(typed, VA(0), 3, spec)
